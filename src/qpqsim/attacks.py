@@ -5,7 +5,8 @@ A dishonest receiver can store photons and measure after the letter
 announcement: unambiguous discrimination of the announced pair succeeds
 with probability 1 - cos(theta) per photon, and joint strategies on the k
 photons behind one final-key bit are bounded by the Helstrom guessing
-probability 1/2 + sin^k(theta)/2 or the parity-pair USD bound 1 - F. A
+probability 1/2 + sin^k(theta)/2 or the parity-pair USD bound 1 - F =
+2^-k sum_w C(k,w) (1+c)^min(w,k-w) (1-c)^max(w,k-w) with c = cos(theta). A
 dishonest sender substitutes half-angle states to bias the receiver's
 conclusiveness, at the price of losing the bit value entirely.
 """
@@ -14,37 +15,31 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from ._kernels import conclusiveness_trials, usd_trials
 from .errors import CapacityError, DomainError
+from .planner import MAX_SUBSTRINGS
 from .qubits import (
     AttackLabel,
     Basis,
     CarrierLabel,
     DensityMatrix,
+    _check_theta,
     attack_state,
     basis_states,
     carrier_state,
-    fidelity,
+    fidelity,  # re-exported: perfbench/test_bench.py checks attacks.fidelity
 )
 
 MAX_JOINT_QUBITS = 10
 DEFAULT_TRIALS = 10 ** 6
 
 
-def _check_theta(theta):
-    if not 0.0 < theta < math.pi / 2:
-        raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
-
-
-def _check_k(substrings):
-    if not 1 <= substrings <= MAX_JOINT_QUBITS:
-        raise CapacityError(
-            f"joint constructions are capped at {MAX_JOINT_QUBITS} qubits, got {substrings}"
-        )
+def _check_k(substrings, cap=MAX_JOINT_QUBITS):
+    if not 1 <= substrings <= cap:
+        raise CapacityError(f"substring count must lie in [1, {cap}], got {substrings}")
 
 
 @dataclass(frozen=True)
@@ -92,26 +87,19 @@ class ParityPair:
 
 
 def parity_mixtures(theta, substrings):
+    """Dense pair (A^(x)k +- D^(x)k) / 2^k, A = P0 + P0', D = P0 - P0': D^(x)k
+    sums every k-fold product projector with the sign of its parity."""
     _check_theta(theta)
     _check_k(substrings)
-    zero = carrier_state(CarrierLabel.K0, theta)
-    one = carrier_state(CarrierLabel.K0P, theta)
-    dim = 2 ** substrings
-    even = np.zeros((dim, dim), dtype=complex)
-    odd = np.zeros((dim, dim), dtype=complex)
-    for bits in product((0, 1), repeat=substrings):
-        amps = np.array([1.0], dtype=complex)
-        for b in bits:
-            amps = np.kron(amps, (zero if b == 0 else one).amps)
-        proj = np.outer(amps, amps.conj())
-        if sum(bits) % 2 == 0:
-            even += proj
-        else:
-            odd += proj
-    norm = 2.0 ** (substrings - 1)
+    p0 = carrier_state(CarrierLabel.K0, theta).density().entries
+    p1 = carrier_state(CarrierLabel.K0P, theta).density().entries
+    total = diff = np.ones((1, 1), dtype=complex)
+    for _ in range(substrings):
+        total, diff = np.kron(total, p0 + p1), np.kron(diff, p0 - p1)
+    norm = 2.0 ** substrings
     return ParityPair(
-        rho_even=DensityMatrix(even / norm),
-        rho_odd=DensityMatrix(odd / norm),
+        rho_even=DensityMatrix((total + diff) / norm),
+        rho_odd=DensityMatrix((total - diff) / norm),
     )
 
 
@@ -126,9 +114,27 @@ def helstrom_guess(theta, substrings):
 
 def joint_usd_bound(theta, substrings):
     """Upper bound on unambiguously reading one final-key bit from its k
-    photons: 1 - F(rho_even, rho_odd). Equals 1 - cos(theta) at k = 1."""
-    pair = parity_mixtures(theta, substrings)
-    return 1.0 - fidelity(pair.rho_even, pair.rho_odd)
+    photons, 1 - F(rho_even, rho_odd), for 1 <= k <= MAX_SUBSTRINGS:
+
+        1 - F = 2^-k sum_{w=0..k} C(k,w) (1+c)^min(w,k-w) (1-c)^max(w,k-w)
+
+    with c = cos(theta). Derivation: rho_even = X X^+ and rho_odd = Y Y^+,
+    where the columns of X and Y are the even- and odd-parity product
+    states scaled by 2^-(k-1)/2, so F = ||X^+ Y||_1 (Uhlmann). X^+ Y is the
+    even-odd block of G / 2^(k-1), G = c^|s xor t|; the Walsh-Hadamard
+    characters u diagonalise G with eigenvalues (1+c)^(k-|u|) (1-c)^|u|,
+    and pairing u with its complement gives the block's singular values,
+    |lambda_u - lambda_ubar| / 2^k. All terms of 1 - F are positive, so
+    nothing cancels; it is summed with (1 +- c)/2 = cos^2, sin^2(theta/2).
+    """
+    _check_theta(theta)
+    _check_k(substrings, MAX_SUBSTRINGS)
+    near, far = math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2
+    k = substrings
+    return math.fsum(
+        math.comb(k, w) * near ** min(w, k - w) * far ** max(w, k - w)
+        for w in range(k + 1)
+    )
 
 
 # --- Monte Carlo realizations -------------------------------------------------
@@ -314,13 +320,8 @@ def fig_data(which, theta_grid=None, substring_range=None, theta_set=None, n_ite
             bounds = np.array([joint_usd_bound(theta, int(k)) for k in ks])
             series.append({"label": f"theta={theta:.3f}", "x": ks, "y": bounds})
             if n_items is not None:
-                series.append(
-                    {
-                        "label": f"expected_bits theta={theta:.3f} N={n_items}",
-                        "x": ks,
-                        "y": n_items * bounds,
-                    }
-                )
+                label = f"expected_bits theta={theta:.3f} N={n_items}"
+                series.append({"label": label, "x": ks, "y": n_items * bounds})
         return {"figure": "F4", "x_name": "substrings", "series": series}
     if which == "F5":
         grid = theta_grid if theta_grid is not None else np.linspace(0.01, 1.56, 156)

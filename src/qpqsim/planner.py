@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError, InfeasibleError
 
@@ -137,6 +136,7 @@ class KnownCountDistribution:
 
 
 def known_count_distribution(n_items, p, substrings):
+    from scipy import stats  # slow to import, and only needed here
     _check_args(n_items, p, substrings)
     q = p ** substrings
     mean = n_items * q

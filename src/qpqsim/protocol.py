@@ -27,7 +27,7 @@ from .errors import (
     InsufficientKeyError,
     ResourceError,
 )
-from .qubits import Basis, CarrierLabel, born_outcome0_tables
+from .qubits import Basis, CarrierLabel, _check_theta, born_outcome0_tables
 
 PHOTON_CAP = 10 ** 9  # safety cap per session attempt
 
@@ -58,8 +58,7 @@ class SessionConfig:
             raise DomainError(f"database size must be >= 1, got {self.n_items}")
         if self.substrings < 1:
             raise DomainError(f"substring count must be >= 1, got {self.substrings}")
-        if not 0.0 < self.theta < math.pi / 2:
-            raise DomainError(f"theta must lie in (0, pi/2), got {self.theta}")
+        _check_theta(self.theta)
         if not 0.0 <= self.loss_rate < 1.0:
             raise DomainError(f"loss rate must lie in [0, 1), got {self.loss_rate}")
         if not 0.0 <= self.noise_rate < 1.0:
@@ -113,8 +112,7 @@ def bob_prepare(count, theta, rng):
     """Draw carrier labels i.i.d. uniform over the four states."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    if not 0.0 < theta < math.pi / 2:
-        raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
+    _check_theta(theta)
     labels = (rng.random(count) * 4.0).astype(np.uint8)
     return [CarrierLabel(int(v)) for v in labels]
 

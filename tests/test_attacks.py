@@ -1,6 +1,9 @@
 import json
 import math
+from functools import reduce
+from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from qpqsim.attacks import (
     usd_povm,
 )
 from qpqsim.errors import CapacityError, DomainError
-from qpqsim.qubits import CarrierLabel, carrier_state, trace_distance
+from qpqsim.qubits import CarrierLabel, carrier_state, fidelity, trace_distance
 
 THETAS = np.linspace(0.05, math.pi / 2 - 0.05, 20)
 
@@ -104,6 +107,22 @@ def test_parity_mixtures_structure():
         assert np.count_nonzero(ev > 1e-9) == 2  # two pure components
 
 
+def test_parity_mixtures_match_sum_of_product_projectors():
+    # reference: the uniform mixture of each parity class's k-fold products
+    for theta in (0.2, math.pi / 4, 1.2):
+        zero = carrier_state(CarrierLabel.K0, theta).amps
+        one = carrier_state(CarrierLabel.K0P, theta).amps
+        for k in range(1, 6):
+            sums = np.zeros((2, 2 ** k, 2 ** k), dtype=complex)
+            for bits in product((0, 1), repeat=k):
+                amps = reduce(np.kron, [one if b else zero for b in bits])
+                sums[sum(bits) % 2] += np.outer(amps, amps.conj())
+            pair = parity_mixtures(theta, k)
+            tol = 2 ** k * np.finfo(float).eps
+            assert np.max(np.abs(pair.rho_even.entries - sums[0] / 2 ** (k - 1))) < tol
+            assert np.max(np.abs(pair.rho_odd.entries - sums[1] / 2 ** (k - 1))) < tol
+
+
 def test_parity_mixtures_capacity():
     with pytest.raises(CapacityError):
         parity_mixtures(0.5, 11)
@@ -138,15 +157,88 @@ def test_joint_usd_bound_reduces_to_single_photon():
 
 
 def test_joint_usd_bound_shape_over_k():
-    # Mathematically the bound is non-increasing in k, strictly decreasing
-    # from k to k+2, and equal for the (2m-1, 2m) pairs; adjacent-step
-    # strictness is below eigensolver noise, so assert the robust shape.
+    # The bound is non-increasing in k, strictly decreasing from k to k+2,
+    # and exactly equal for the (2m-1, 2m) pairs, so adjacent steps are
+    # not strict; the equal pairs are pinned in test_joint_usd_bound_pairs_are_equal.
     for theta in (0.2, math.pi / 4):
         bounds = [joint_usd_bound(theta, k) for k in range(1, 9)]
         for a, b in zip(bounds, bounds[1:]):
             assert b <= a + 1e-8
         for a, b in zip(bounds, bounds[2:]):
             assert b < a - 1e-6 * a  # genuine decline every two steps
+
+
+def _mp_sqrt_psd(matrix):
+    # eigen-based square root: mp.sqrtm fails on these singular matrices
+    values, vectors = mpmath.eigsy(matrix)
+    roots = mpmath.diag([mpmath.sqrt(max(v, 0)) for v in values])
+    return vectors * roots * vectors.T
+
+
+def _mp_parity_fidelity(theta, k):
+    """F(rho_even, rho_odd) from dense real matrices at 40 digits."""
+    c, s = mpmath.cos(theta), mpmath.sin(theta)
+    dim = 2 ** k
+    mixtures = [mpmath.zeros(dim, dim), mpmath.zeros(dim, dim)]
+    for word in range(dim):
+        amps = mpmath.matrix([1])
+        for i in range(k):
+            qubit = mpmath.matrix([c, s] if word >> i & 1 else [1, 0])
+            amps = mpmath.matrix([a * q for a in amps for q in qubit])
+        parity = bin(word).count("1") % 2
+        mixtures[parity] = mixtures[parity] + amps * amps.T / 2 ** (k - 1)
+    even, odd = mixtures
+    root = _mp_sqrt_psd(even)
+    values, _ = mpmath.eigsy(root * odd * root)
+    return sum(mpmath.sqrt(max(v, 0)) for v in values)
+
+
+def _mp_joint_sum(theta, k):
+    c = mpmath.cos(theta)
+    return sum(
+        mpmath.binomial(k, w) * (1 + c) ** min(w, k - w) * (1 - c) ** max(w, k - w)
+        for w in range(k + 1)
+    ) / mpmath.mpf(2) ** k
+
+
+def test_joint_usd_bound_matches_high_precision_dense_fidelity():
+    with mpmath.workdps(40):
+        for theta in (0.284, math.pi / 4, 1.2):
+            for k in range(1, 4):
+                reference = 1 - _mp_parity_fidelity(mpmath.mpf(theta), k)
+                assert abs(joint_usd_bound(theta, k) - float(reference)) < 1e-15
+
+
+def test_joint_usd_bound_matches_high_precision_sum_for_every_plannable_k():
+    with mpmath.workdps(40):
+        for theta in (0.05, 0.284, math.pi / 4, 1.2, 1.5):
+            for k in range(1, planner.MAX_SUBSTRINGS + 1):
+                reference = float(_mp_joint_sum(mpmath.mpf(theta), k))
+                assert joint_usd_bound(theta, k) == pytest.approx(reference, rel=1e-12, abs=0)
+
+
+def test_joint_usd_bound_matches_dense_fidelity():
+    for theta in (0.2, 0.284, math.pi / 4, 1.2):
+        for k in range(1, 9):
+            pair = parity_mixtures(theta, k)
+            dense = 1.0 - fidelity(pair.rho_even, pair.rho_odd)
+            assert abs(joint_usd_bound(theta, k) - dense) < 1e-7
+
+
+def test_joint_usd_bound_pairs_are_equal():
+    for theta in (0.05, 0.284, math.pi / 4, 1.5):
+        for m in range(1, planner.MAX_SUBSTRINGS // 2 + 1):
+            odd_k, even_k = joint_usd_bound(theta, 2 * m - 1), joint_usd_bound(theta, 2 * m)
+            assert even_k == pytest.approx(odd_k, rel=1e-15, abs=0)
+
+
+def test_joint_usd_bound_capacity():
+    assert joint_usd_bound(0.5, planner.MAX_SUBSTRINGS) > 0.0
+    for k in (0, planner.MAX_SUBSTRINGS + 1):
+        with pytest.raises(CapacityError):
+            joint_usd_bound(0.5, k)
+    with pytest.raises(DomainError):
+        joint_usd_bound(0.0, 3)
 
 
 def test_joint_usd_bound_dominates_independent_attacks():

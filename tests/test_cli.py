@@ -171,6 +171,18 @@ def test_joint_usd_attack_kind(tmp_path, capsys):
     assert doc["bound"] == pytest.approx(1 - math.cos(0.2), abs=1e-9)
 
 
+def test_joint_usd_attack_every_plannable_k(tmp_path, capsys):
+    code, out, _ = run_cli(
+        ["attack", "--kind", "joint-usd", "--theta", "0.2", "--k", "20"], tmp_path, capsys
+    )
+    assert code == 0
+    assert 0.0 < json.loads(out.splitlines()[0])["bound"] < 1 - math.cos(0.2)
+    code, _, _ = run_cli(
+        ["attack", "--kind", "joint-usd", "--theta", "0.2", "--k", "65"], tmp_path, capsys
+    )
+    assert code == 2
+
+
 def test_serve_and_query_subprocess_round_trip(tmp_path):
     # real two-process interop: serve in a child, query via the CLI API
     env = dict(os.environ, PYTHONUNBUFFERED="1")

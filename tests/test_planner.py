@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpqsim
 from qpqsim import planner
 from qpqsim.errors import DomainError, InfeasibleError
 
@@ -130,6 +134,17 @@ def test_plan_result_internal_consistency():
         planner.failure_probability(plan.n_items, plan.conclusive_p, plan.substrings),
         abs=1e-12,
     )
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import and only known_count_distribution uses it
+    src = os.path.dirname(os.path.dirname(qpqsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, qpqsim, qpqsim.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_known_count_distribution_identities():
