@@ -2,7 +2,6 @@
 private query protocol: honest sessions, parameter planning, attack
 bounds, and a framed wire mode."""
 
-from ._kernels import active_backend
 from .planner import (
     PlanResult,
     conclusive_probability,
@@ -16,6 +15,8 @@ from .protocol import (
     FinalKey,
     QueryExchange,
     RawKey,
+    Receiver,
+    Sender,
     SessionConfig,
     SessionReport,
     estimate_error_rate,
@@ -34,7 +35,6 @@ from .qubits import (
     attack_state,
     carrier_state,
     fidelity,
-    measure,
     tensor,
     trace_distance,
 )
@@ -42,7 +42,6 @@ from .qubits import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "active_backend",
     "AttackLabel",
     "Basis",
     "CarrierLabel",
@@ -51,6 +50,8 @@ __all__ = [
     "PlanResult",
     "QueryExchange",
     "RawKey",
+    "Receiver",
+    "Sender",
     "SessionConfig",
     "SessionReport",
     "StateVector",
@@ -61,7 +62,6 @@ __all__ = [
     "expected_known_bits",
     "failure_probability",
     "fidelity",
-    "measure",
     "oblivious_query",
     "plan_min_k",
     "run_key_distribution",

@@ -1,39 +1,11 @@
-"""Hot Monte Carlo kernels: numba-jitted with a pure-numpy fallback.
+"""Hot Monte Carlo kernels, vectorized with numpy.
 
-Set QPQSIM_BACKEND=numpy to force the fallback (or =numba to require the
-jitted path). Both backends consume the same pre-drawn uniform arrays and
-produce bit-identical outputs, so results never depend on the backend;
-all randomness stays in numpy Generator streams owned by the callers.
-
-benchmarks/bench_kernels.py compares the two paths.
+Every kernel consumes pre-drawn uniform arrays, so all randomness stays
+in the numpy Generator streams owned by the callers and results depend
+only on the seeds.
 """
 
-import os
-
 import numpy as np
-
-_ENV_FLAG = "QPQSIM_BACKEND"
-_requested = os.environ.get(_ENV_FLAG, "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(f"{_ENV_FLAG} must be 'numba' or 'numpy', got {_requested!r}")
-
-if _requested == "numpy":
-    _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _HAVE_NUMBA = False
-
-
-def active_backend():
-    """Name of the kernel backend selected at import time."""
-    return "numba" if _HAVE_NUMBA else "numpy"
-
 
 # --- transmission: carrier choice, loss, optional bit flip, measurement ---
 #
@@ -75,57 +47,8 @@ def _conclusiveness_trials_np(u, p0_attack, want_conclusive):
     return conclusive, bits
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _simulate_transmission_nb(u_label, bases, u_chan, p0, p0_flip, loss_rate, noise_rate):
-        n = u_label.shape[0]
-        labels = np.empty(n, dtype=np.uint8)
-        received = np.empty(n, dtype=np.bool_)
-        outcomes = np.empty(n, dtype=np.uint8)
-        for i in range(n):
-            lab = np.uint8(u_label[i] * 4.0)
-            labels[i] = lab
-            received[i] = u_chan[i, 0] >= loss_rate
-            if u_chan[i, 1] < noise_rate:
-                prob0 = p0_flip[lab, bases[i]]
-            else:
-                prob0 = p0[lab, bases[i]]
-            outcomes[i] = np.uint8(1) if u_chan[i, 2] >= prob0 else np.uint8(0)
-        return labels, received, outcomes
-
-    @njit(cache=True)
-    def _usd_trials_nb(u, truth, p_wrong, p_right):
-        n = u.shape[0]
-        codes = np.empty(n, dtype=np.uint8)
-        for i in range(n):
-            pw = p_wrong[truth[i]]
-            if u[i] < pw:
-                codes[i] = 2
-            elif u[i] < pw + p_right[truth[i]]:
-                codes[i] = 1
-            else:
-                codes[i] = 0
-        return codes
-
-    @njit(cache=True)
-    def _conclusiveness_trials_nb(u, p0_attack, want_conclusive):
-        n = u.shape[0]
-        conclusive = np.empty(n, dtype=np.bool_)
-        bits = np.empty(n, dtype=np.uint8)
-        for i in range(n):
-            attack = np.uint8(1) if u[i, 0] >= 0.5 else np.uint8(0)
-            announce = attack ^ 1 if want_conclusive else attack
-            basis = np.uint8(1) if u[i, 1] >= 0.5 else np.uint8(0)
-            outcome = np.uint8(1) if u[i, 2] >= p0_attack[attack, basis] else np.uint8(0)
-            conclusive[i] = outcome != announce
-            bits[i] = 1 - basis
-        return conclusive, bits
-
-    simulate_transmission = _simulate_transmission_nb
-    usd_trials = _usd_trials_nb
-    conclusiveness_trials = _conclusiveness_trials_nb
-else:
-    simulate_transmission = _simulate_transmission_np
-    usd_trials = _usd_trials_np
-    conclusiveness_trials = _conclusiveness_trials_np
+# public aliases of the _np definitions: perfbench/test_bench.py checks
+# that simulate_transmission is _simulate_transmission_np
+simulate_transmission = _simulate_transmission_np
+usd_trials = _usd_trials_np
+conclusiveness_trials = _conclusiveness_trials_np

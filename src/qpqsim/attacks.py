@@ -166,15 +166,7 @@ class AttackReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_csv(self):
-        buf = io.StringIO()
-        buf.write("field,value\n")
-        for key, value in sorted(self.to_dict().items()):
-            if isinstance(value, dict):
-                for sub, v in sorted(value.items()):
-                    buf.write(f"{key}.{sub},{v}\n")
-            else:
-                buf.write(f"{key},{value}\n")
-        return buf.getvalue()
+        return dict_to_csv(self.to_dict())
 
 
 def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=None):
@@ -344,6 +336,20 @@ def _csv_num(value):
     if float(value).is_integer():
         return str(int(value))
     return repr(float(value))
+
+
+def dict_to_csv(doc):
+    """Flatten a report document into field,value rows; nested dicts
+    become key.sub fields."""
+    buf = io.StringIO()
+    buf.write("field,value\n")
+    for key, value in sorted(doc.items()):
+        if isinstance(value, dict):
+            for sub, v in sorted(value.items()):
+                buf.write(f"{key}.{sub},{v}\n")
+        else:
+            buf.write(f"{key},{value}\n")
+    return buf.getvalue()
 
 
 def series_to_csv(doc):

@@ -53,7 +53,7 @@ def derive_seeds(seed):
     return tuple(int(v) for v in state)
 
 
-def _session_config(args, photon_batch=None):
+def _session_config(args):
     source, channel, measure = derive_seeds(args.seed)
     return protocol.SessionConfig(
         n_items=args.N,
@@ -61,7 +61,6 @@ def _session_config(args, photon_batch=None):
         theta=args.theta,
         loss_rate=args.loss,
         noise_rate=getattr(args, "noise", 0.0),
-        photon_batch=photon_batch,
         source_seed=source,
         channel_seed=channel,
         measure_seed=measure,
@@ -91,20 +90,9 @@ def _emit(args, text, ext):
     return path
 
 
-def _dict_csv(doc):
-    lines = ["field,value"]
-    for key, value in sorted(doc.items()):
-        if isinstance(value, dict):
-            for sub, v in sorted(value.items()):
-                lines.append(f"{key}.{sub},{v}")
-        else:
-            lines.append(f"{key},{value}")
-    return "\n".join(lines) + "\n"
-
-
 def _emit_doc(args, doc):
     if args.format == "csv":
-        return _emit(args, _dict_csv(doc), "csv")
+        return _emit(args, attacks.dict_to_csv(doc), "csv")
     return _emit(args, json.dumps(doc, sort_keys=True), "json")
 
 

@@ -10,13 +10,15 @@ bits with the database item she wants.
 
 Randomness is split across three seeded streams (photon source, channel,
 receiver measurement) plus a derived query stream, with a fixed number of
-draws per photon, so results are independent of batch sizes and identical
-between the in-process and wire engines.
+draws per photon, so results are independent of batch sizes. The two
+parties are sans-I/O objects, Sender and Receiver, that exchange plain
+arrays: the in-process engine pumps them directly and the wire endpoints
+pump them over frames, so both modes run the same session code.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .errors import (
     InsufficientKeyError,
     ResourceError,
 )
-from .qubits import Basis, CarrierLabel, _check_theta, born_outcome0_tables
+from .qubits import Basis, _check_theta, born_outcome0_tables
 
 PHOTON_CAP = 10 ** 9  # safety cap per session attempt
 
@@ -49,9 +51,6 @@ class SessionConfig:
     channel_seed: int = 2
     measure_seed: int = 3
     max_restarts: int = 20
-    # Abort threshold for the estimated key error rate. Not part of the
-    # protocol definition; exposed as a knob with a conventional default.
-    error_threshold: float = 0.15
 
     def __post_init__(self):
         if self.n_items < 1:
@@ -90,7 +89,6 @@ class SessionConfig:
             "channel_seed": self.channel_seed,
             "measure_seed": self.measure_seed,
             "max_restarts": self.max_restarts,
-            "error_threshold": self.error_threshold,
         }
 
 
@@ -105,25 +103,6 @@ def query_stream(config, attempt=0):
     return stream(config.measure_seed, attempt, tag=1)
 
 
-# --- single-photon operations ------------------------------------------------
-
-
-def bob_prepare(count, theta, rng):
-    """Draw carrier labels i.i.d. uniform over the four states."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    _check_theta(theta)
-    labels = (rng.random(count) * 4.0).astype(np.uint8)
-    return [CarrierLabel(int(v)) for v in labels]
-
-
-def channel_transmit(labels, loss_rate, rng):
-    """Independent photon loss: each photon survives with probability 1 - loss."""
-    if not 0.0 <= loss_rate < 1.0:
-        raise DomainError(f"loss rate must lie in [0, 1), got {loss_rate}")
-    return rng.random(len(labels)) >= loss_rate
-
-
 def sift(basis, outcome, declaration):
     """Interpret one measurement against the announced letter.
 
@@ -132,45 +111,11 @@ def sift(basis, outcome, declaration):
     observed eigenstate is orthogonal to exactly one candidate when the
     outcome index differs from the announced letter; the surviving
     candidate's coded bit is then certain. Returns that bit, or None when
-    both candidates remain consistent.
+    both candidates remain consistent. The scalar reference for sift_batch.
     """
     if outcome == declaration:
         return None
     return 1 if Basis(basis) is Basis.B else 0
-
-
-@dataclass(frozen=True)
-class PhotonRecord:
-    """Ground truth plus both parties' views of a single photon."""
-
-    index: int
-    label: CarrierLabel
-    received: bool
-    basis: Basis
-    outcome: int
-    declaration: int
-    sift: int | None
-
-
-def photon_records(labels, received, bases, outcomes):
-    """Materialize per-photon records from batch arrays (small runs only)."""
-    records = []
-    for i, lab in enumerate(labels):
-        label = CarrierLabel(int(lab))
-        rec = bool(received[i])
-        decl = label.declaration_letter
-        records.append(
-            PhotonRecord(
-                index=i,
-                label=label,
-                received=rec,
-                basis=Basis(int(bases[i])),
-                outcome=int(outcomes[i]),
-                declaration=decl,
-                sift=sift(int(bases[i]), int(outcomes[i]), decl) if rec else None,
-            )
-        )
-    return records
 
 
 # --- keys --------------------------------------------------------------------
@@ -205,6 +150,11 @@ class FinalKey:
         return np.flatnonzero(self.alice_mask)
 
 
+def _fold(bits, substrings):
+    """XOR of the k equal substrings of a raw bit array."""
+    return np.bitwise_xor.reduce(bits.reshape(substrings, -1), axis=0).astype(np.uint8)
+
+
 def xor_compress(raw, substrings, n_items):
     """Cut the raw key into k substrings of length N and add them bitwise.
 
@@ -215,11 +165,9 @@ def xor_compress(raw, substrings, n_items):
         raise DomainError(
             f"raw key length {len(raw)} != substrings*n_items = {substrings * n_items}"
         )
-    bits = np.bitwise_xor.reduce(raw.bits.reshape(substrings, n_items), axis=0)
     mask = np.logical_and.reduce(raw.alice_mask.reshape(substrings, n_items), axis=0)
-    alice = np.bitwise_xor.reduce(raw.alice_bits.reshape(substrings, n_items), axis=0)
-    alice = np.where(mask, alice, 0).astype(np.uint8)
-    return FinalKey(bits=bits.astype(np.uint8), alice_mask=mask, alice_bits=alice)
+    alice = np.where(mask, _fold(raw.alice_bits, substrings), 0).astype(np.uint8)
+    return FinalKey(bits=_fold(raw.bits, substrings), alice_mask=mask, alice_bits=alice)
 
 
 # --- session engine ----------------------------------------------------------
@@ -286,15 +234,6 @@ class SessionReport:
         return json.dumps(self.to_dict(public_only=public_only), sort_keys=True)
 
 
-@dataclass
-class _PassResult:
-    raw: RawKey
-    final: FinalKey
-    photons_sent: int
-    photons_received: int
-    conclusive_count: int
-
-
 def simulate_batch(source_rng, channel_rng, bases, config):
     """One transmission round: sender draws labels, the channel draws
     loss/flip/outcome uniforms, and the Born-rule kernel resolves the
@@ -313,57 +252,192 @@ def draw_bases(measure_rng, count):
     return (measure_rng.random(count) >= 0.5).astype(np.uint8)
 
 
-def _single_pass(config, attempt):
-    source = stream(config.source_seed, attempt)
-    channel = stream(config.channel_seed, attempt)
-    measure_rng = stream(config.measure_seed, attempt)
-
-    need = config.raw_length
-    batch = config.effective_batch()
-    kept_labels, kept_bases, kept_outcomes = [], [], []
-    sent = received_total = retained = 0
-    while retained < need:
-        if sent + batch > PHOTON_CAP:
-            raise ResourceError(
-                f"photon budget exhausted: cap {PHOTON_CAP}, "
-                f"retained {retained}/{need}"
-            )
-        bases = draw_bases(measure_rng, batch)
-        labels, received, outcomes = simulate_batch(source, channel, bases, config)
-        sent += batch
-        received_total += int(np.count_nonzero(received))
-        take = min(need - retained, int(np.count_nonzero(received)))
-        idx = np.flatnonzero(received)[:take]
-        kept_labels.append(labels[idx])
-        kept_bases.append(bases[idx])
-        kept_outcomes.append(outcomes[idx])
-        retained += take
-
-    labels = np.concatenate(kept_labels)
-    bases = np.concatenate(kept_bases)
-    outcomes = np.concatenate(kept_outcomes)
-
-    bits = (labels >> 1).astype(np.uint8)
-    declarations = (labels & 1).astype(np.uint8)
-    mask, alice_bits = sift_batch(bases, outcomes, declarations)
-
-    raw = RawKey(bits=bits, alice_mask=mask, alice_bits=alice_bits)
-    final = xor_compress(raw, config.substrings, config.n_items)
-    return _PassResult(
-        raw=raw,
-        final=final,
-        photons_sent=sent,
-        photons_received=received_total,
-        conclusive_count=int(np.count_nonzero(mask)),
-    )
-
-
 def sift_batch(bases, outcomes, declarations):
     """Vectorized sift: conclusive exactly when outcome != declaration;
     the inferred bit is 1 in the computational basis, 0 in the rotated one."""
     mask = outcomes != declarations
     alice_bits = np.where(mask, (1 - bases), 0).astype(np.uint8)
     return mask, alice_bits
+
+
+def _choose_shift(final, target_index, rng):
+    """Receiver's half of the query: a known position j picked uniformly,
+    and the shift s = (j - i) mod N that aligns it with item i."""
+    known = final.known_positions()
+    if known.size == 0:
+        raise EmptyKeyMaskError("receiver knows no final-key bit; restart the session")
+    j = int(known[int(rng.random() * known.size)])
+    return j, (j - target_index) % final.bits.size
+
+
+def _encrypt(database, final_bits, shift):
+    """Sender's half of the query: item m is padded with key bit m + s."""
+    return (database ^ np.roll(final_bits, -shift)).astype(np.uint8)
+
+
+def _open(final, target_index, known_index, shift, ciphertext):
+    """The receiver's record of an exchange, with the item she decrypts."""
+    return QueryExchange(
+        target_index=target_index,
+        known_index=known_index,
+        shift=shift,
+        ciphertext=ciphertext,
+        retrieved_bit=int(ciphertext[target_index] ^ final.alice_bits[known_index]),
+    )
+
+
+class _Party:
+    """State both parties keep alike: the retention rule and the photon
+    counters. Each side applies the rule to the same loss flags, so both
+    retain the first received photons until k*N are kept."""
+
+    def __init__(self, config, attempt):
+        self.config = config
+        self.attempt = attempt
+        self.sent = self.received = self.retained = 0
+
+    @property
+    def done(self):
+        return self.retained >= self.config.raw_length
+
+    def _retain(self, received):
+        """Indices of this batch's photons that join the raw key."""
+        self.sent += received.size
+        self.received += int(np.count_nonzero(received))
+        idx = np.flatnonzero(received)[: self.config.raw_length - self.retained]
+        self.retained += idx.size
+        return idx
+
+    def _report(self, **fields):
+        return SessionReport(
+            config=self.config,
+            photons_sent=self.sent,
+            photons_received=self.received,
+            restarted=self.attempt,
+            **fields,
+        )
+
+
+class Sender(_Party):
+    """Bob, the database holder: prepares carriers, which cross the
+    simulated channel, declares one letter per retained photon, and
+    answers the shifted query. Performs no I/O."""
+
+    def __init__(self, config, attempt=0):
+        super().__init__(config, attempt)
+        self._source = stream(config.source_seed, attempt)
+        self._channel = stream(config.channel_seed, attempt)
+        self._labels = []
+        self.raw_bits = self.final_bits = self.exchange = None
+
+    def transmit(self, bases):
+        """Send one batch measured in the receiver's bases; returns the
+        loss flags and outcomes she observes."""
+        labels, received, outcomes = simulate_batch(
+            self._source, self._channel, bases, self.config
+        )
+        self._labels.append(labels[self._retain(received)])
+        return received, outcomes
+
+    def declaration(self):
+        """The letters of the retained carriers; fixes the truth bits."""
+        labels = np.concatenate(self._labels)
+        self._labels = []
+        self.raw_bits = (labels >> 1).astype(np.uint8)
+        self.final_bits = _fold(self.raw_bits, self.config.substrings)
+        return (labels & 1).astype(np.uint8)
+
+    def answer(self, database, shift):
+        """Ciphertext for an announced shift."""
+        s = shift % self.config.n_items
+        ciphertext = _encrypt(database, self.final_bits, s)
+        self.exchange = QueryExchange(
+            target_index=-1, known_index=-1, shift=s, ciphertext=ciphertext, retrieved_bit=-1
+        )
+        return ciphertext
+
+    def report(self, conclusive_count):
+        # the known-bit count is receiver-private, unknown on this side
+        return self._report(
+            conclusive_count=conclusive_count,
+            known_final_count=0,
+            query=self.exchange,
+            success=True,
+        )
+
+
+class Receiver(_Party):
+    """Alice, the querying party: measures in random bases, sifts against
+    the declaration, folds her view of the key, and queries one item.
+    Performs no I/O."""
+
+    def __init__(self, config, attempt=0):
+        super().__init__(config, attempt)
+        self._measure = stream(config.measure_seed, attempt)
+        self._bases = self._pending = None
+        self._kept_bases, self._kept_outcomes = [], []
+        self.raw = self.final = self.exchange = None
+
+    def bases(self, count):
+        """Basis choices for the next batch of count photons."""
+        self._bases = draw_bases(self._measure, count)
+        return self._bases
+
+    def absorb(self, received, outcomes):
+        """Loss flags and outcomes of the batch measured in bases()."""
+        idx = self._retain(received)
+        self._kept_bases.append(self._bases[idx])
+        self._kept_outcomes.append(outcomes[idx])
+
+    def sift(self, letters):
+        """Sift against the declared letters and fold; returns the
+        conclusive count."""
+        bases, outcomes = np.concatenate(self._kept_bases), np.concatenate(self._kept_outcomes)
+        self._bases, self._kept_bases, self._kept_outcomes = None, [], []
+        mask, alice_bits = sift_batch(bases, outcomes, letters)
+        # she holds no truth bits, only her mask and values
+        zeros = np.zeros(mask.size, dtype=np.uint8)
+        self.raw = RawKey(bits=zeros, alice_mask=mask, alice_bits=alice_bits)
+        self.final = xor_compress(self.raw, self.config.substrings, self.config.n_items)
+        return int(np.count_nonzero(mask))
+
+    def query(self, target_index):
+        """Choose the known bit for item target_index; returns the shift."""
+        rng = query_stream(self.config, self.attempt)
+        known, shift = _choose_shift(self.final, target_index, rng)
+        self._pending = (target_index, known, shift)
+        return shift
+
+    def retrieve(self, ciphertext):
+        """Decrypt the queried item from the sender's ciphertext."""
+        self.exchange = _open(self.final, *self._pending, ciphertext)
+        return self.exchange.retrieved_bit
+
+    def report(self):
+        known = self.final.known_count
+        return self._report(
+            conclusive_count=int(np.count_nonzero(self.raw.alice_mask)),
+            known_final_count=known,
+            query=self.exchange,
+            success=known > 0,
+        )
+
+
+def _single_pass(config, attempt):
+    """One key-distribution attempt, pumping both parties in-process."""
+    sender, receiver = Sender(config, attempt), Receiver(config, attempt)
+    batch = config.effective_batch()
+    while not receiver.done:
+        if receiver.sent + batch > PHOTON_CAP:
+            raise ResourceError(
+                f"photon budget exhausted: cap {PHOTON_CAP}, "
+                f"retained {receiver.retained}/{config.raw_length}"
+            )
+        receiver.absorb(*sender.transmit(receiver.bases(batch)))
+    receiver.sift(sender.declaration())
+    raw = replace(receiver.raw, bits=sender.raw_bits)
+    final = replace(receiver.final, bits=sender.final_bits)
+    return raw, final, receiver.report()
 
 
 def run_key_distribution(config):
@@ -373,30 +447,11 @@ def run_key_distribution(config):
     leaves the receiver with zero known bits is reported with
     success=False rather than raising.
     """
-    last = None
     for attempt in range(config.max_restarts + 1):
-        last = _single_pass(config, attempt)
-        if last.final.known_count > 0:
-            report = SessionReport(
-                config=config,
-                photons_sent=last.photons_sent,
-                photons_received=last.photons_received,
-                conclusive_count=last.conclusive_count,
-                known_final_count=last.final.known_count,
-                restarted=attempt,
-                success=True,
-            )
-            return last.raw, last.final, report
-    report = SessionReport(
-        config=config,
-        photons_sent=last.photons_sent,
-        photons_received=last.photons_received,
-        conclusive_count=last.conclusive_count,
-        known_final_count=0,
-        restarted=config.max_restarts,
-        success=False,
-    )
-    return last.raw, last.final, report
+        raw, final, report = _single_pass(config, attempt)
+        if report.success:
+            break
+    return raw, final, report
 
 
 def oblivious_query(final, database, target_index, rng):
@@ -412,21 +467,8 @@ def oblivious_query(final, database, target_index, rng):
         raise DomainError(f"database has {database.size} bits, key has {n}")
     if not 0 <= target_index < n:
         raise DomainError(f"target index {target_index} out of range [0, {n})")
-    known = final.known_positions()
-    if known.size == 0:
-        raise EmptyKeyMaskError("receiver knows no final-key bit; restart the session")
-    j = int(known[int(rng.random() * known.size)])
-    s = (j - target_index) % n
-    shifted = np.roll(final.bits, -s)  # shifted[m] = bits[(m + s) mod N]
-    ciphertext = (database ^ shifted).astype(np.uint8)
-    retrieved = int(ciphertext[target_index] ^ final.alice_bits[j])
-    return QueryExchange(
-        target_index=target_index,
-        known_index=j,
-        shift=s,
-        ciphertext=ciphertext,
-        retrieved_bit=retrieved,
-    )
+    j, s = _choose_shift(final, target_index, rng)
+    return _open(final, target_index, j, s, _encrypt(database, final.bits, s))
 
 
 def estimate_error_rate(alice_final, bob_final, sample_fraction, rng):

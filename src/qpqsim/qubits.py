@@ -1,6 +1,6 @@
 """Exact finite-dimensional quantum state kernel.
 
-Carrier and attack state construction, Born-rule measurement sampling,
+Carrier and attack state construction, Born-rule outcome tables,
 tensor products, and the fidelity / trace-distance metrics used by the
 attack bounds. All amplitudes are complex double precision; the states
 handled here happen to be real-valued.
@@ -158,20 +158,6 @@ def basis_states(basis, theta):
         carrier_state(CarrierLabel.K0P, theta),
         carrier_state(CarrierLabel.K1P, theta),
     )
-
-
-def measure(state, basis, theta, rng):
-    """Sample one projective measurement outcome with Born probabilities.
-
-    Outcome 0 is the first basis vector (|0> or |0'>), outcome 1 the
-    second. Deterministic given the state of the passed-in generator,
-    which is advanced by exactly one draw.
-    """
-    if state.dim != 2:
-        raise DomainError("measure expects a single-qubit state")
-    b0, _ = basis_states(basis, theta)
-    p0 = abs(b0.overlap(state)) ** 2
-    return 0 if rng.random() < p0 else 1
 
 
 def tensor(states):

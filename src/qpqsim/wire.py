@@ -16,25 +16,16 @@ session with an ERROR frame.
 import socket
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
 
 from .errors import CapacityError, ProtocolAbort, QpqError
-from .protocol import (
-    SessionConfig,
-    SessionReport,
-    FinalKey,
-    QueryExchange,
-    RawKey,
-    draw_bases,
-    query_stream,
-    sift_batch,
-    simulate_batch,
-    stream,
-    xor_compress,
-)
+from .protocol import FinalKey, Receiver, Sender, SessionReport
+
+# re-exported, unused here: perfbench/test_bench.py checks both names
+from .protocol import draw_bases, simulate_batch  # noqa: F401
 
 MAX_FRAME_LENGTH = 1 << 24  # tag byte + payload
 WIRE_BATCH = 4096           # photons per round, bounds frame sizes
@@ -45,7 +36,6 @@ ERR_DECODE = 3
 ERR_SESSION_FAILED = 4
 
 _HEADER = struct.Struct(">IB")
-_HELLO = struct.Struct(">dIHd")
 _U32 = struct.Struct(">I")
 
 
@@ -83,178 +73,111 @@ def _unpack_bits(payload, offset):
     return bits, start + nbytes
 
 
+class _Message:
+    """Payload codec and equality derived from a message's dataclass
+    fields, in declaration order: a STRUCT packs them as one fixed-width
+    record; without one, each field is a length-prefixed bit array and
+    all arrays of a message have one length."""
+
+    STRUCT = None
+
+    def _values(self):
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def encode_payload(self):
+        if self.STRUCT is not None:
+            return self.STRUCT.pack(*self._values())
+        return b"".join(_pack_bits(v) for v in self._values())
+
+    @classmethod
+    def decode_payload(cls, payload):
+        name = cls.TAG.name
+        if cls.STRUCT is not None:
+            if len(payload) != cls.STRUCT.size:
+                raise FrameDecodeError(f"{name} payload must be {cls.STRUCT.size} bytes")
+            return cls(*cls.STRUCT.unpack(payload))
+        values, offset = [], 0
+        for _ in fields(cls):
+            bits, offset = _unpack_bits(payload, offset)
+            values.append(bits)
+        if offset != len(payload):
+            raise FrameDecodeError(f"trailing bytes after {name}")
+        if len({v.size for v in values}) > 1:
+            raise FrameDecodeError(f"{name} bit arrays differ in length")
+        return cls(*values)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            np.array_equal(a, b) for a, b in zip(self._values(), other._values())
+        )
+
+
 @dataclass(eq=False)
-class Hello:
+class Hello(_Message):
     TAG = MsgType.HELLO
+    STRUCT = struct.Struct(">dIHd")
     theta: float
     n_items: int
     substrings: int
     loss_rate: float
 
-    def encode_payload(self):
-        return _HELLO.pack(self.theta, self.n_items, self.substrings, self.loss_rate)
-
-    @classmethod
-    def decode_payload(cls, payload):
-        if len(payload) != _HELLO.size:
-            raise FrameDecodeError(f"HELLO payload must be {_HELLO.size} bytes")
-        theta, n_items, substrings, loss_rate = _HELLO.unpack(payload)
-        return cls(theta=theta, n_items=n_items, substrings=substrings, loss_rate=loss_rate)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Hello)
-            and self.theta == other.theta
-            and self.n_items == other.n_items
-            and self.substrings == other.substrings
-            and self.loss_rate == other.loss_rate
-        )
-
 
 @dataclass(eq=False)
-class PhotonBatchReq:
+class PhotonBatchReq(_Message):
     TAG = MsgType.PHOTON_BATCH_REQ
+    STRUCT = _U32
     count: int
 
-    def encode_payload(self):
-        return _U32.pack(self.count)
-
-    @classmethod
-    def decode_payload(cls, payload):
-        if len(payload) != 4:
-            raise FrameDecodeError("PHOTON_BATCH_REQ payload must be 4 bytes")
-        return cls(count=_U32.unpack(payload)[0])
-
-    def __eq__(self, other):
-        return isinstance(other, PhotonBatchReq) and self.count == other.count
-
 
 @dataclass(eq=False)
-class MeasureSubmit:
+class MeasureSubmit(_Message):
     TAG = MsgType.MEASURE_SUBMIT
     bases: np.ndarray
 
-    def encode_payload(self):
-        return _pack_bits(self.bases)
-
-    @classmethod
-    def decode_payload(cls, payload):
-        bits, end = _unpack_bits(payload, 0)
-        if end != len(payload):
-            raise FrameDecodeError("trailing bytes after MEASURE_SUBMIT bases")
-        return cls(bases=bits)
-
-    def __eq__(self, other):
-        return isinstance(other, MeasureSubmit) and np.array_equal(self.bases, other.bases)
-
 
 @dataclass(eq=False)
-class OutcomeBatch:
+class OutcomeBatch(_Message):
     TAG = MsgType.OUTCOME_BATCH
     received: np.ndarray
     outcomes: np.ndarray
 
-    def encode_payload(self):
-        return _pack_bits(self.received) + _pack_bits(self.outcomes)
-
-    @classmethod
-    def decode_payload(cls, payload):
-        received, offset = _unpack_bits(payload, 0)
-        outcomes, end = _unpack_bits(payload, offset)
-        if end != len(payload):
-            raise FrameDecodeError("trailing bytes after OUTCOME_BATCH")
-        if received.size != outcomes.size:
-            raise FrameDecodeError("OUTCOME_BATCH flag/outcome length mismatch")
-        return cls(received=received.astype(bool), outcomes=outcomes)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OutcomeBatch)
-            and np.array_equal(self.received, other.received)
-            and np.array_equal(self.outcomes, other.outcomes)
-        )
+    def __post_init__(self):
+        self.received = np.asarray(self.received, dtype=bool)
 
 
 @dataclass(eq=False)
-class Declaration:
+class Declaration(_Message):
     TAG = MsgType.DECLARATION
     letters: np.ndarray
 
-    def encode_payload(self):
-        return _pack_bits(self.letters)
-
-    @classmethod
-    def decode_payload(cls, payload):
-        bits, end = _unpack_bits(payload, 0)
-        if end != len(payload):
-            raise FrameDecodeError("trailing bytes after DECLARATION")
-        return cls(letters=bits)
-
-    def __eq__(self, other):
-        return isinstance(other, Declaration) and np.array_equal(self.letters, other.letters)
-
 
 @dataclass(eq=False)
-class SiftAck:
+class SiftAck(_Message):
     TAG = MsgType.SIFT_ACK
+    STRUCT = _U32
     conclusive_count: int
 
-    def encode_payload(self):
-        return _U32.pack(self.conclusive_count)
-
-    @classmethod
-    def decode_payload(cls, payload):
-        if len(payload) != 4:
-            raise FrameDecodeError("SIFT_ACK payload must be 4 bytes")
-        return cls(conclusive_count=_U32.unpack(payload)[0])
-
-    def __eq__(self, other):
-        return isinstance(other, SiftAck) and self.conclusive_count == other.conclusive_count
-
 
 @dataclass(eq=False)
-class Shift:
+class Shift(_Message):
     TAG = MsgType.SHIFT
+    STRUCT = _U32
     shift: int
 
-    def encode_payload(self):
-        return _U32.pack(self.shift)
-
-    @classmethod
-    def decode_payload(cls, payload):
-        if len(payload) != 4:
-            raise FrameDecodeError("SHIFT payload must be 4 bytes")
-        return cls(shift=_U32.unpack(payload)[0])
-
-    def __eq__(self, other):
-        return isinstance(other, Shift) and self.shift == other.shift
-
 
 @dataclass(eq=False)
-class Ciphertext:
+class Ciphertext(_Message):
     TAG = MsgType.CIPHERTEXT
     bits: np.ndarray
 
-    def encode_payload(self):
-        return _pack_bits(self.bits)
-
-    @classmethod
-    def decode_payload(cls, payload):
-        bits, end = _unpack_bits(payload, 0)
-        if end != len(payload):
-            raise FrameDecodeError("trailing bytes after CIPHERTEXT")
-        return cls(bits=bits)
-
-    def __eq__(self, other):
-        return isinstance(other, Ciphertext) and np.array_equal(self.bits, other.bits)
-
 
 @dataclass(eq=False)
-class Error:
+class Error(_Message):
     TAG = MsgType.ERROR
     code: int
     message: str
 
+    # a code byte, then the UTF-8 message filling the rest of the frame
     def encode_payload(self):
         return bytes([self.code]) + self.message.encode("utf-8")
 
@@ -264,28 +187,8 @@ class Error:
             raise FrameDecodeError("ERROR payload must carry a code byte")
         return cls(code=payload[0], message=payload[1:].decode("utf-8", "replace"))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Error)
-            and self.code == other.code
-            and self.message == other.message
-        )
 
-
-MESSAGE_TYPES = {
-    cls.TAG: cls
-    for cls in (
-        Hello,
-        PhotonBatchReq,
-        MeasureSubmit,
-        OutcomeBatch,
-        Declaration,
-        SiftAck,
-        Shift,
-        Ciphertext,
-        Error,
-    )
-}
+MESSAGE_TYPES = {cls.TAG: cls for cls in _Message.__subclasses__()}
 
 
 def encode_frame(msg):
@@ -411,12 +314,12 @@ class AliceWireResult:
     retrieved_bit: int
 
 
-def _hello_matches(hello, config):
-    return (
-        hello.theta == config.theta
-        and hello.n_items == config.n_items
-        and hello.substrings == config.substrings
-        and hello.loss_rate == config.loss_rate
+def _hello(config):
+    return Hello(
+        theta=config.theta,
+        n_items=config.n_items,
+        substrings=config.substrings,
+        loss_rate=config.loss_rate,
     )
 
 
@@ -429,59 +332,31 @@ def run_bob_endpoint(config, database, conn, audit=None):
         fs.fail(ERR_BAD_PARAMS, f"theta out of range: {hello.theta}")
     if hello.n_items < 1 or hello.substrings < 1 or not 0.0 <= hello.loss_rate < 1.0:
         fs.fail(ERR_BAD_PARAMS, "invalid session parameters")
-    if not _hello_matches(hello, config):
+    if hello != _hello(config):
         fs.fail(ERR_BAD_PARAMS, "session parameters do not match this endpoint")
     if database.size != config.n_items:
         fs.fail(ERR_BAD_PARAMS, "database size does not match session parameters")
 
-    source = stream(config.source_seed, 0)
-    channel = stream(config.channel_seed, 0)
-    need = config.raw_length
-    kept_labels = []
-    sent = received_total = retained = 0
-    while retained < need:
+    bob = Sender(config)
+    while not bob.done:
         req = fs.expect(PhotonBatchReq)
         if not 1 <= req.count <= WIRE_BATCH:
             fs.fail(ERR_BAD_PARAMS, f"batch size {req.count} outside [1, {WIRE_BATCH}]")
         sub = fs.expect(MeasureSubmit)
         if sub.bases.size != req.count:
             fs.fail(ERR_BAD_PARAMS, "basis array does not match requested batch size")
-        labels, received, outcomes = simulate_batch(source, channel, sub.bases, config)
-        sent += req.count
-        received_total += int(np.count_nonzero(received))
-        take = min(need - retained, int(np.count_nonzero(received)))
-        kept_labels.append(labels[np.flatnonzero(received)[:take]])
-        retained += take
+        received, outcomes = bob.transmit(sub.bases)
         fs.send(OutcomeBatch(received=received, outcomes=outcomes))
 
-    labels = np.concatenate(kept_labels)
-    raw_bits = (labels >> 1).astype(np.uint8)
-    letters = (labels & 1).astype(np.uint8)
-    fs.send(Declaration(letters=letters))
+    fs.send(Declaration(letters=bob.declaration()))
     ack = fs.expect(SiftAck)
-
-    final_bits = np.bitwise_xor.reduce(
-        raw_bits.reshape(config.substrings, config.n_items), axis=0
-    ).astype(np.uint8)
-
-    shift_msg = fs.expect(Shift)
-    s = shift_msg.shift % config.n_items
-    ciphertext = (database ^ np.roll(final_bits, -s)).astype(np.uint8)
+    ciphertext = bob.answer(database, fs.expect(Shift).shift)
     fs.send(Ciphertext(bits=ciphertext))
-
-    report = SessionReport(
-        config=config,
-        photons_sent=sent,
-        photons_received=received_total,
-        conclusive_count=ack.conclusive_count,
-        known_final_count=0,  # receiver-private, unknown on this side
-        restarted=0,
-        query=QueryExchange(
-            target_index=-1, known_index=-1, shift=s, ciphertext=ciphertext, retrieved_bit=-1
-        ),
-        success=True,
+    return BobWireResult(
+        report=bob.report(ack.conclusive_count),
+        raw_bits=bob.raw_bits,
+        final_bits=bob.final_bits,
     )
-    return BobWireResult(report=report, raw_bits=raw_bits, final_bits=final_bits)
 
 
 def run_alice_endpoint(config, target_index, conn, audit=None):
@@ -489,76 +364,29 @@ def run_alice_endpoint(config, target_index, conn, audit=None):
     fs = FrameStream(conn, audit)
     if not 0 <= target_index < config.n_items:
         raise ProtocolAbort(f"target index {target_index} out of range")
-    fs.send(
-        Hello(
-            theta=config.theta,
-            n_items=config.n_items,
-            substrings=config.substrings,
-            loss_rate=config.loss_rate,
-        )
-    )
-    measure_rng = stream(config.measure_seed, 0)
-    need = config.raw_length
-    kept_bases, kept_outcomes = [], []
-    sent = received_total = retained = 0
-    while retained < need:
+    fs.send(_hello(config))
+    alice = Receiver(config)
+    while not alice.done:
         fs.send(PhotonBatchReq(count=WIRE_BATCH))
-        bases = draw_bases(measure_rng, WIRE_BATCH)
-        fs.send(MeasureSubmit(bases=bases))
+        fs.send(MeasureSubmit(bases=alice.bases(WIRE_BATCH)))
         batch = fs.expect(OutcomeBatch)
         if batch.received.size != WIRE_BATCH:
             fs.fail(ERR_BAD_PARAMS, "outcome batch does not match requested size")
-        sent += WIRE_BATCH
-        received_total += int(np.count_nonzero(batch.received))
-        take = min(need - retained, int(np.count_nonzero(batch.received)))
-        idx = np.flatnonzero(batch.received)[:take]
-        kept_bases.append(bases[idx])
-        kept_outcomes.append(batch.outcomes[idx])
-        retained += take
+        alice.absorb(batch.received, batch.outcomes)
 
-    bases = np.concatenate(kept_bases)
-    outcomes = np.concatenate(kept_outcomes)
     decl = fs.expect(Declaration)
-    if decl.letters.size != need:
+    if decl.letters.size != config.raw_length:
         fs.fail(ERR_BAD_PARAMS, "declaration length does not match raw key length")
-    mask, alice_bits = sift_batch(bases, outcomes, decl.letters)
-    fs.send(SiftAck(conclusive_count=int(np.count_nonzero(mask))))
-
-    # receiver-side fold: she has no truth bits, only her mask and values
-    shadow = RawKey(
-        bits=np.zeros(need, dtype=np.uint8), alice_mask=mask, alice_bits=alice_bits
-    )
-    final = xor_compress(shadow, config.substrings, config.n_items)
-    known = final.known_positions()
-    if known.size == 0:
+    fs.send(SiftAck(conclusive_count=alice.sift(decl.letters)))
+    if alice.final.known_count == 0:
         fs.fail(ERR_SESSION_FAILED, "no known final-key bits; session must restart")
 
-    qrng = query_stream(config, attempt=0)
-    j = int(known[int(qrng.random() * known.size)])
-    s = (j - target_index) % config.n_items
-    fs.send(Shift(shift=s))
+    fs.send(Shift(shift=alice.query(target_index)))
     ct = fs.expect(Ciphertext)
     if ct.bits.size != config.n_items:
         fs.fail(ERR_BAD_PARAMS, "ciphertext length does not match database size")
-    retrieved = int(ct.bits[target_index] ^ final.alice_bits[j])
-
-    report = SessionReport(
-        config=config,
-        photons_sent=sent,
-        photons_received=received_total,
-        conclusive_count=int(np.count_nonzero(mask)),
-        known_final_count=int(known.size),
-        restarted=0,
-        query=QueryExchange(
-            target_index=target_index,
-            known_index=j,
-            shift=s,
-            ciphertext=ct.bits,
-            retrieved_bit=retrieved,
-        ),
-        success=True,
-    )
-    return AliceWireResult(report=report, final=final, retrieved_bit=retrieved)
+    retrieved = alice.retrieve(ct.bits)
+    return AliceWireResult(report=alice.report(), final=alice.final, retrieved_bit=retrieved)
 
 
 def public_report_fields(report):

@@ -1,6 +1,4 @@
-import os
-import subprocess
-import sys
+"""The numpy kernels against per-element pure-Python reference loops."""
 
 import numpy as np
 import pytest
@@ -8,89 +6,91 @@ import pytest
 from qpqsim import _kernels
 from qpqsim.qubits import born_outcome0_tables
 
-
-numba_only = pytest.mark.skipif(
-    not _kernels._HAVE_NUMBA, reason="numba backend not active"
-)
+N = 2000
 
 
 @pytest.fixture(scope="module")
 def inputs():
     rng = np.random.default_rng(1234)
-    n = 50000
     return {
-        "u_label": rng.random(n),
-        "bases": (rng.random(n) >= 0.5).astype(np.uint8),
-        "u_chan": rng.random((n, 3)),
-        "u": rng.random(n),
-        "truth": (rng.random(n) >= 0.5).astype(np.uint8),
-        "u3": rng.random((n, 3)),
+        "u_label": rng.random(N),
+        "bases": (rng.random(N) >= 0.5).astype(np.uint8),
+        "u_chan": rng.random((N, 3)),
+        "u": rng.random(N),
+        "truth": (rng.random(N) >= 0.5).astype(np.uint8),
+        "u3": rng.random((N, 3)),
     }
 
 
-@numba_only
-def test_transmission_backends_bit_identical(inputs):
+def transmission_loop(u_label, bases, u_chan, p0, p0_flip, loss_rate, noise_rate):
+    labels, received, outcomes = [], [], []
+    for i in range(u_label.shape[0]):
+        lab = int(u_label[i] * 4.0)
+        labels.append(lab)
+        received.append(u_chan[i, 0] >= loss_rate)
+        if u_chan[i, 1] < noise_rate:
+            prob0 = p0_flip[lab, bases[i]]
+        else:
+            prob0 = p0[lab, bases[i]]
+        outcomes.append(1 if u_chan[i, 2] >= prob0 else 0)
+    return labels, received, outcomes
+
+
+def usd_loop(u, truth, p_wrong, p_right):
+    codes = []
+    for i in range(u.shape[0]):
+        pw = p_wrong[truth[i]]
+        if u[i] < pw:
+            codes.append(2)
+        elif u[i] < pw + p_right[truth[i]]:
+            codes.append(1)
+        else:
+            codes.append(0)
+    return codes
+
+
+def conclusiveness_loop(u, p0_attack, want_conclusive):
+    conclusive, bits = [], []
+    for i in range(u.shape[0]):
+        attack = 1 if u[i, 0] >= 0.5 else 0
+        announce = attack ^ 1 if want_conclusive else attack
+        basis = 1 if u[i, 1] >= 0.5 else 0
+        outcome = 1 if u[i, 2] >= p0_attack[attack, basis] else 0
+        conclusive.append(outcome != announce)
+        bits.append(1 - basis)
+    return conclusive, bits
+
+
+def assert_same(got, want, dtype):
+    assert got.dtype == dtype
+    assert got.tolist() == want
+
+
+def test_transmission_matches_reference_loop(inputs):
     p0, p0_flip = born_outcome0_tables(0.47)
     args = (inputs["u_label"], inputs["bases"], inputs["u_chan"], p0, p0_flip, 0.35, 0.02)
-    for a, b in zip(
-        _kernels._simulate_transmission_np(*args),
-        _kernels._simulate_transmission_nb(*args),
-    ):
-        assert np.array_equal(a, b)
+    labels, received, outcomes = _kernels.simulate_transmission(*args)
+    ref_labels, ref_received, ref_outcomes = transmission_loop(*args)
+    assert_same(labels, ref_labels, np.uint8)
+    assert_same(received, ref_received, np.bool_)
+    assert_same(outcomes, ref_outcomes, np.uint8)
+    # the inputs exercise every branch
+    assert 0 < np.count_nonzero(received) < N
+    assert np.count_nonzero(inputs["u_chan"][:, 1] < 0.02) > 0
 
 
-@numba_only
-def test_usd_backends_bit_identical(inputs):
-    p_wrong = np.array([1e-16, 3e-16])
-    p_right = np.array([0.27, 0.27])
-    a = _kernels._usd_trials_np(inputs["u"], inputs["truth"], p_wrong, p_right)
-    b = _kernels._usd_trials_nb(inputs["u"], inputs["truth"], p_wrong, p_right)
-    assert np.array_equal(a, b)
+def test_usd_trials_match_reference_loop(inputs):
+    p_wrong = np.array([0.05, 0.1])
+    p_right = np.array([0.27, 0.3])
+    codes = _kernels.usd_trials(inputs["u"], inputs["truth"], p_wrong, p_right)
+    assert_same(codes, usd_loop(inputs["u"], inputs["truth"], p_wrong, p_right), np.uint8)
+    assert set(codes.tolist()) == {0, 1, 2}
 
 
-@numba_only
-def test_conclusiveness_backends_bit_identical(inputs):
+@pytest.mark.parametrize("want", [True, False])
+def test_conclusiveness_trials_match_reference_loop(inputs, want):
     p0a = np.array([[0.8, 0.7], [0.2, 0.3]])
-    for want in (True, False):
-        a = _kernels._conclusiveness_trials_np(inputs["u3"], p0a, want)
-        b = _kernels._conclusiveness_trials_nb(inputs["u3"], p0a, want)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
-
-
-def test_active_backend_reports_selection():
-    assert _kernels.active_backend() in ("numba", "numpy")
-
-
-def test_env_flag_forces_numpy_fallback():
-    code = (
-        "import qpqsim, numpy as np\n"
-        "assert qpqsim.active_backend() == 'numpy'\n"
-        "cfg = qpqsim.SessionConfig(n_items=32, substrings=1, theta=0.7,"
-        " source_seed=1, channel_seed=2, measure_seed=3, photon_batch=64)\n"
-        "raw, final, report = qpqsim.run_key_distribution(cfg)\n"
-        "print(report.conclusive_count, ''.join(map(str, raw.bits[:32])))\n"
-    )
-    env = dict(os.environ, QPQSIM_BACKEND="numpy")
-    forced = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert forced.returncode == 0, forced.stderr
-    default = subprocess.run(
-        [sys.executable, "-c", code.replace("== 'numpy'", "in ('numba', 'numpy')")],
-        env=dict(os.environ, QPQSIM_BACKEND=""),
-        capture_output=True,
-        text=True,
-    )
-    assert default.returncode == 0, default.stderr
-    # same seeds produce the same key regardless of backend
-    assert forced.stdout == default.stdout
-
-
-def test_env_flag_rejects_unknown_value():
-    env = dict(os.environ, QPQSIM_BACKEND="cuda")
-    result = subprocess.run(
-        [sys.executable, "-c", "import qpqsim"], env=env, capture_output=True, text=True
-    )
-    assert result.returncode != 0
-    assert "QPQSIM_BACKEND" in result.stderr
+    conclusive, bits = _kernels.conclusiveness_trials(inputs["u3"], p0a, want)
+    ref_conclusive, ref_bits = conclusiveness_loop(inputs["u3"], p0a, want)
+    assert_same(conclusive, ref_conclusive, np.bool_)
+    assert_same(bits, ref_bits, np.uint8)

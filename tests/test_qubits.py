@@ -15,7 +15,6 @@ from qpqsim.qubits import (
     born_outcome0_tables,
     carrier_state,
     fidelity,
-    measure,
     tensor,
     trace_distance,
 )
@@ -109,28 +108,6 @@ def test_tensor_preserves_normalization_on_grid():
         assert abs(np.sum(np.abs(psi.amps) ** 2) - 1.0) <= 1e-12
 
 
-def test_measure_eigenstates_are_deterministic():
-    rng = np.random.default_rng(0)
-    zero = state(1, 0)
-    for _ in range(64):
-        assert measure(zero, Basis.B, 0.4, rng) == 0
-    primed0 = carrier_state(CarrierLabel.K0P, 0.4)
-    for _ in range(64):
-        assert measure(primed0, Basis.BP, 0.4, rng) == 0
-
-
-def test_measure_born_frequency_example():
-    # |0> measured in the rotated basis: outcome 1 with probability sin^2(theta)
-    theta = 0.5
-    rng = np.random.default_rng(1234)
-    zero = state(1, 0)
-    n = 10 ** 5
-    ones = sum(measure(zero, Basis.BP, theta, rng) for _ in range(n))
-    p = math.sin(theta) ** 2
-    sigma = math.sqrt(p * (1 - p) / n)
-    assert abs(ones / n - p) < 3 * sigma
-
-
 def test_born_statistics_all_label_basis_pairs():
     # empirical outcome-0 frequency within 4 sigma for each pair
     theta = 0.73
@@ -142,7 +119,6 @@ def test_born_statistics_all_label_basis_pairs():
         for basis in Basis:
             u = rng.random(n)
             freq = np.count_nonzero(u < p0[label, basis]) / n
-            # control sample equals direct measure() sampling semantics
             p = p0[label, basis]
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(freq - p) <= 4 * sigma
