@@ -5,8 +5,8 @@ is fully determined by its flags plus the seed; outputs land in --out
 (default ./out) as <command>-<params-hash>.<ext> and are byte-identical
 across repeated invocations.
 
-Exit codes: 1 usage, 2 infeasible parameters, 3 protocol abort, 4 check
-failure.
+Exit codes: 1 usage, 2 infeasible parameters, 3 protocol abort or out of
+memory, 4 check failure.
 """
 
 import argparse
@@ -37,7 +37,7 @@ EXIT_PROTOCOL = 3
 EXIT_CHECK = 4
 
 _INFEASIBLE = (InfeasibleError, DomainError, CapacityError)
-_PROTOCOL = (ProtocolAbort, ResourceError, EmptyKeyMaskError, InsufficientKeyError)
+_PROTOCOL = (ProtocolAbort, ResourceError, EmptyKeyMaskError, InsufficientKeyError, MemoryError)
 
 
 class _Parser(argparse.ArgumentParser):

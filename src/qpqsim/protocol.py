@@ -10,15 +10,14 @@ bits with the database item she wants.
 
 Randomness is split across three seeded streams (photon source, channel,
 receiver measurement) plus a derived query stream, with a fixed number of
-draws per photon, so results are independent of batch sizes. The two
+draws per photon, so results are independent of round sizes. The two
 parties are sans-I/O objects, Sender and Receiver, that exchange plain
 arrays: the in-process engine pumps them directly and the wire endpoints
 pump them over frames, so both modes run the same session code.
 """
 
 import json
-import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .errors import (
 from .qubits import Basis, _check_theta, born_outcome0_tables
 
 PHOTON_CAP = 10 ** 9  # safety cap per session attempt
+ROUND = 4096  # photons per transmission round, in-process and on the wire
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class SessionConfig:
     # exists for this kind of sparsely-known key, so noisy runs only feed
     # the public error-rate estimate.
     noise_rate: float = 0.0
-    photon_batch: int | None = None
     source_seed: int = 1
     channel_seed: int = 2
     measure_seed: int = 3
@@ -64,32 +63,13 @@ class SessionConfig:
             raise DomainError(f"noise rate must lie in [0, 1), got {self.noise_rate}")
         if self.max_restarts < 0:
             raise DomainError("max_restarts must be >= 0")
-        if self.photon_batch is not None and self.photon_batch < 1:
-            raise DomainError("photon_batch must be >= 1")
 
     @property
     def raw_length(self):
         return self.substrings * self.n_items
 
-    def effective_batch(self):
-        if self.photon_batch is not None:
-            return self.photon_batch
-        p = math.sin(self.theta) ** 2 / 2.0
-        return int(math.ceil(2.0 * self.raw_length / p))
-
     def to_dict(self):
-        return {
-            "n_items": self.n_items,
-            "substrings": self.substrings,
-            "theta": self.theta,
-            "loss_rate": self.loss_rate,
-            "noise_rate": self.noise_rate,
-            "photon_batch": self.photon_batch,
-            "source_seed": self.source_seed,
-            "channel_seed": self.channel_seed,
-            "measure_seed": self.measure_seed,
-            "max_restarts": self.max_restarts,
-        }
+        return asdict(self)
 
 
 def stream(seed, attempt=0, tag=0):
@@ -234,12 +214,13 @@ class SessionReport:
         return json.dumps(self.to_dict(public_only=public_only), sort_keys=True)
 
 
-def simulate_batch(source_rng, channel_rng, bases, config):
+def simulate_batch(source_rng, channel_rng, bases, config, tables):
     """One transmission round: sender draws labels, the channel draws
     loss/flip/outcome uniforms, and the Born-rule kernel resolves the
-    receiver's outcomes for her submitted basis choices."""
+    receiver's outcomes for her submitted basis choices. tables are the
+    born_outcome0_tables of config.theta."""
     count = bases.shape[0]
-    p0, p0_flip = born_outcome0_tables(config.theta)
+    p0, p0_flip = tables
     u_label = source_rng.random(count)
     u_chan = channel_rng.random((count, 3))
     return simulate_transmission(
@@ -301,11 +282,13 @@ class _Party:
         return self.retained >= self.config.raw_length
 
     def _retain(self, received):
-        """Indices of this batch's photons that join the raw key."""
-        self.sent += received.size
-        self.received += int(np.count_nonzero(received))
+        """Indices of this round's photons that join the raw key; the
+        counters stop at the last retained photon, so no round size moves them."""
         idx = np.flatnonzero(received)[: self.config.raw_length - self.retained]
         self.retained += idx.size
+        used = idx[-1] + 1 if self.done else received.size
+        self.sent += int(used)
+        self.received += int(np.count_nonzero(received[:used]))
         return idx
 
     def _report(self, **fields):
@@ -327,14 +310,15 @@ class Sender(_Party):
         super().__init__(config, attempt)
         self._source = stream(config.source_seed, attempt)
         self._channel = stream(config.channel_seed, attempt)
+        self._tables = born_outcome0_tables(config.theta)
         self._labels = []
         self.raw_bits = self.final_bits = self.exchange = None
 
     def transmit(self, bases):
-        """Send one batch measured in the receiver's bases; returns the
+        """Send one round measured in the receiver's bases; returns the
         loss flags and outcomes she observes."""
         labels, received, outcomes = simulate_batch(
-            self._source, self._channel, bases, self.config
+            self._source, self._channel, bases, self.config, self._tables
         )
         self._labels.append(labels[self._retain(received)])
         return received, outcomes
@@ -379,12 +363,12 @@ class Receiver(_Party):
         self.raw = self.final = self.exchange = None
 
     def bases(self, count):
-        """Basis choices for the next batch of count photons."""
+        """Basis choices for the next round of count photons."""
         self._bases = draw_bases(self._measure, count)
         return self._bases
 
     def absorb(self, received, outcomes):
-        """Loss flags and outcomes of the batch measured in bases()."""
+        """Loss flags and outcomes of the round measured in bases()."""
         idx = self._retain(received)
         self._kept_bases.append(self._bases[idx])
         self._kept_outcomes.append(outcomes[idx])
@@ -426,14 +410,13 @@ class Receiver(_Party):
 def _single_pass(config, attempt):
     """One key-distribution attempt, pumping both parties in-process."""
     sender, receiver = Sender(config, attempt), Receiver(config, attempt)
-    batch = config.effective_batch()
     while not receiver.done:
-        if receiver.sent + batch > PHOTON_CAP:
+        if receiver.sent + ROUND > PHOTON_CAP:
             raise ResourceError(
                 f"photon budget exhausted: cap {PHOTON_CAP}, "
                 f"retained {receiver.retained}/{config.raw_length}"
             )
-        receiver.absorb(*sender.transmit(receiver.bases(batch)))
+        receiver.absorb(*sender.transmit(receiver.bases(ROUND)))
     receiver.sift(sender.declaration())
     raw = replace(receiver.raw, bits=sender.raw_bits)
     final = replace(receiver.final, bits=sender.final_bits)

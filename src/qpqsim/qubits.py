@@ -174,18 +174,19 @@ def fidelity(rho, sigma):
     """Square-root fidelity F = tr sqrt(sqrt(rho) sigma sqrt(rho)).
 
     The non-squared convention: for pure states F equals |<psi|phi>|.
-    Eigenvalues are clamped at the PSD floor before square roots to guard
-    against numerical negatives.
+    Both eigensolves zero the eigenvalues below dim * eps * lambda_max, the
+    rounding noise of rank-deficient inputs, before taking square roots.
     """
     if rho.dim != sigma.dim:
         raise DomainError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     w, v = np.linalg.eigh(rho.entries)
-    w = np.where(w < 0.0, 0.0, w)
-    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
-    inner = sqrt_rho @ sigma.entries @ sqrt_rho
-    ev = np.linalg.eigvalsh(inner)
-    ev = np.where(ev < 0.0, 0.0, ev)
+    sqrt_rho = (v * np.sqrt(_drop_noise(w))) @ v.conj().T
+    ev = _drop_noise(np.linalg.eigvalsh(sqrt_rho @ sigma.entries @ sqrt_rho))
     return float(min(np.sum(np.sqrt(ev)), 1.0))
+
+
+def _drop_noise(w):
+    return np.where(w < w.size * np.finfo(float).eps * max(w.max(), 0.0), 0.0, w)
 
 
 def trace_distance(rho, sigma):

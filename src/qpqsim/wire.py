@@ -7,7 +7,7 @@ sender side: the receiver submits basis choices and gets loss flags and
 outcomes back, which preserves every protocol statistic but makes this a
 protocol-flow and interoperability vehicle, not a security boundary.
 
-Message flow: HELLO, then batches of PHOTON_BATCH_REQ / MEASURE_SUBMIT /
+Message flow: HELLO, then rounds of PHOTON_BATCH_REQ / MEASURE_SUBMIT /
 OUTCOME_BATCH until k*N photons are retained, then DECLARATION, SIFT_ACK,
 SHIFT and CIPHERTEXT. Any out-of-order or malformed frame aborts the
 session with an ERROR frame.
@@ -16,19 +16,18 @@ session with an ERROR frame.
 import socket
 import struct
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import IntEnum
 
 import numpy as np
 
 from .errors import CapacityError, ProtocolAbort, QpqError
-from .protocol import FinalKey, Receiver, Sender, SessionReport
+from .protocol import ROUND, FinalKey, Receiver, Sender, SessionReport
 
 # re-exported, unused here: perfbench/test_bench.py checks both names
 from .protocol import draw_bases, simulate_batch  # noqa: F401
 
 MAX_FRAME_LENGTH = 1 << 24  # tag byte + payload
-WIRE_BATCH = 4096           # photons per round, bounds frame sizes
 
 ERR_ORDER = 1
 ERR_BAD_PARAMS = 2
@@ -340,8 +339,8 @@ def run_bob_endpoint(config, database, conn, audit=None):
     bob = Sender(config)
     while not bob.done:
         req = fs.expect(PhotonBatchReq)
-        if not 1 <= req.count <= WIRE_BATCH:
-            fs.fail(ERR_BAD_PARAMS, f"batch size {req.count} outside [1, {WIRE_BATCH}]")
+        if not 1 <= req.count <= ROUND:
+            fs.fail(ERR_BAD_PARAMS, f"batch size {req.count} outside [1, {ROUND}]")
         sub = fs.expect(MeasureSubmit)
         if sub.bases.size != req.count:
             fs.fail(ERR_BAD_PARAMS, "basis array does not match requested batch size")
@@ -367,10 +366,10 @@ def run_alice_endpoint(config, target_index, conn, audit=None):
     fs.send(_hello(config))
     alice = Receiver(config)
     while not alice.done:
-        fs.send(PhotonBatchReq(count=WIRE_BATCH))
-        fs.send(MeasureSubmit(bases=alice.bases(WIRE_BATCH)))
+        fs.send(PhotonBatchReq(count=ROUND))
+        fs.send(MeasureSubmit(bases=alice.bases(ROUND)))
         batch = fs.expect(OutcomeBatch)
-        if batch.received.size != WIRE_BATCH:
+        if batch.received.size != ROUND:
             fs.fail(ERR_BAD_PARAMS, "outcome batch does not match requested size")
         alice.absorb(batch.received, batch.outcomes)
 
@@ -393,7 +392,7 @@ def public_report_fields(report):
     """The report fields both endpoints can know and must agree on.
 
     Only the HELLO-negotiated parameters survive from the config echo;
-    seeds, batching and endpoint-local knobs stay private to each side.
+    seeds and endpoint-local knobs stay private to each side.
     """
     doc = report.to_dict(public_only=True)
     doc.pop("known_final_count")
@@ -435,8 +434,9 @@ def run_local_session(config, database, target_index, audit_bob=None, audit_alic
 class WireServer:
     """TCP listener hosting independent sessions, one thread each.
 
-    The bound port is available immediately after construction, so port 0
-    (OS-assigned) works for tests and scripted runs.
+    Each connection gets its own key (see session_config). The bound port
+    is available immediately after construction, so port 0 (OS-assigned)
+    works for tests and scripted runs.
     """
 
     def __init__(self, host, port, config, database, sessions=None):
@@ -446,6 +446,14 @@ class WireServer:
         self._sessions = sessions
         self.host = host
         self.port = self._srv.getsockname()[1]
+
+    def session_config(self, index):
+        """Sender config of the index-th connection (from 0): fresh source and
+        channel seeds, so known bits cannot be pooled across connections."""
+        base = self._config
+        seq = np.random.SeedSequence([base.source_seed, base.channel_seed, index])
+        source, channel = (int(v) for v in seq.generate_state(2, dtype=np.uint64))
+        return replace(base, source_seed=source, channel_seed=channel)
 
     def serve(self):
         """Accept and handle connections; returns after the session limit."""
@@ -457,11 +465,12 @@ class WireServer:
                     conn, _ = self._srv.accept()
                 except OSError:
                     break  # listener closed
+                config = self.session_config(handled)
                 handled += 1
 
-                def _handle(channel=conn):
+                def _handle(channel=conn, config=config):
                     try:
-                        run_bob_endpoint(self._config, self._database, channel)
+                        run_bob_endpoint(config, self._database, channel)
                     except QpqError:
                         pass
                     finally:

@@ -196,7 +196,6 @@ def known_counts():
             n_items=1000,
             substrings=3,
             theta=theta,
-            photon_batch=3000,
             source_seed=70000 + i,
             channel_seed=80000 + i,
             measure_seed=90000 + i,
@@ -342,7 +341,6 @@ def test_c10_end_to_end_retrieval_and_restart_rate():
                 n_items=n_items,
                 substrings=k,
                 theta=theta,
-                photon_batch=max(64, int(1.3 * k * n_items)),
                 source_seed=seed,
                 channel_seed=seed + 1,
                 measure_seed=seed + 2,

@@ -222,7 +222,7 @@ def test_joint_usd_bound_matches_dense_fidelity():
         for k in range(1, 9):
             pair = parity_mixtures(theta, k)
             dense = 1.0 - fidelity(pair.rho_even, pair.rho_odd)
-            assert abs(joint_usd_bound(theta, k) - dense) < 1e-7
+            assert abs(joint_usd_bound(theta, k) - dense) < 1e-11
 
 
 def test_joint_usd_bound_pairs_are_equal():

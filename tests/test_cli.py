@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -69,6 +70,37 @@ def test_run_session_failure_exits_3(tmp_path, capsys):
     doc = json.loads(out.splitlines()[0])
     assert doc["success"] is False
     assert "session failed" in err
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 1.43 GiB")
+
+    monkeypatch.setattr(protocol, "run_session", out_of_memory)
+    args = ["run", "--N", "100", "--k", "1", "--theta", "0.6", "--seed", "3", "--item", "5"]
+    code, _, err = run_cli(args, tmp_path, capsys)
+    assert code == 3
+    assert err.startswith("error:")
+
+
+def test_t4_largest_row_runs_in_one_gib(tmp_path):
+    # memory is bounded by the photon round and the k*N key, not by N/p;
+    # the address-space cap applies to the child process only
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "qpqsim.cli", "run", "--N", "1000000", "--k", "4",
+            "--theta", "0.293", "--seed", "1", "--item", "0", "--out", str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap_memory,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[0])["success"] is True
 
 
 def test_tables_check_passes(tmp_path, capsys):

@@ -126,7 +126,7 @@ def test_xor_compress_all_conclusive_and_errors():
 
 
 def test_conclusive_fraction_at_reference_theta():
-    cfg = make_config(n_items=500, substrings=2, theta=0.5, photon_batch=1100)
+    cfg = make_config(n_items=500, substrings=2, theta=0.5)
     _, _, report = run_key_distribution(cfg)
     p = math.sin(0.5) ** 2 / 2
     n = cfg.raw_length
@@ -135,7 +135,7 @@ def test_conclusive_fraction_at_reference_theta():
 
 
 def test_conclusive_fraction_symmetric_case():
-    cfg = make_config(n_items=500, substrings=2, theta=math.pi / 4, photon_batch=1100)
+    cfg = make_config(n_items=500, substrings=2, theta=math.pi / 4)
     _, _, report = run_key_distribution(cfg)
     sigma = math.sqrt(0.25 * 0.75 / cfg.raw_length)
     assert abs(report.conclusive_count / cfg.raw_length - 0.25) <= 4 * sigma
@@ -146,9 +146,7 @@ def test_conclusive_fraction_independent_of_loss():
     etas = [0.0, 0.3, 0.6, 0.9]
     fractions = []
     for eta in etas:
-        cfg = make_config(
-            n_items=2000, substrings=1, theta=0.5, loss_rate=eta, photon_batch=25000
-        )
+        cfg = make_config(n_items=2000, substrings=1, theta=0.5, loss_rate=eta)
         _, _, report = run_key_distribution(cfg)
         fractions.append(report.conclusive_count / cfg.raw_length)
     p = math.sin(0.5) ** 2 / 2
@@ -174,29 +172,25 @@ def test_raw_key_receiver_agreement_noiseless():
 
 def test_session_restarts_and_failure():
     # p^k tiny: receiver virtually never learns a bit
-    cfg = make_config(
-        n_items=1, substrings=1, theta=0.02, max_restarts=3, photon_batch=8
-    )
+    cfg = make_config(n_items=1, substrings=1, theta=0.02, max_restarts=3)
     raw, final, report = run_key_distribution(cfg)
     if not report.success:
         assert report.restarted == 3
         assert report.known_final_count == 0
-    cfg0 = make_config(
-        n_items=1, substrings=1, theta=0.02, max_restarts=0, photon_batch=8
-    )
+    cfg0 = make_config(n_items=1, substrings=1, theta=0.02, max_restarts=0)
     _, final0, report0 = run_key_distribution(cfg0)
     assert report0.success == (final0.known_count > 0)
 
 
-def test_keys_do_not_depend_on_photon_batch():
-    # both parties retain the first received photons, and every photon
-    # takes a fixed number of draws, so the batch size cannot move a key;
-    # photons_sent/photons_received do depend on it and are not compared
+def test_keys_and_report_do_not_depend_on_round_size(monkeypatch):
+    # both parties retain the first received photons, every photon takes a
+    # fixed number of draws, and the counters stop at the last retained
+    # photon, so the round size can move neither a key nor the report
     database = random_database(50, 8)
     runs = []
-    for batch in (1, 64, 4096, None):
-        cfg = make_config(loss_rate=0.3, photon_batch=batch)
-        runs.append(run_session(cfg, database, 17))
+    for size in (1, 64, 4096, 10 ** 5):
+        monkeypatch.setattr(protocol, "ROUND", size)
+        runs.append(run_session(make_config(loss_rate=0.3), database, 17))
     first_report, first_raw, first_final = runs[0]
     assert first_report.success
     assert first_report.restarted == 1  # these seeds compare a restart too
@@ -206,8 +200,7 @@ def test_keys_do_not_depend_on_photon_batch():
         assert np.array_equal(raw.alice_bits, first_raw.alice_bits)
         assert np.array_equal(final.bits, first_final.bits)
         assert np.array_equal(final.alice_mask, first_final.alice_mask)
-        assert report.query.shift == first_report.query.shift
-        assert report.restarted == first_report.restarted
+        assert report.to_dict() == first_report.to_dict()
 
 
 def test_photon_budget_cap():
@@ -217,7 +210,7 @@ def test_photon_budget_cap():
     protocol.PHOTON_CAP = 16
     try:
         with pytest.raises(ResourceError):
-            protocol._single_pass(make_config(n_items=64, photon_batch=8), 0)
+            protocol._single_pass(make_config(n_items=64), 0)
     finally:
         protocol.PHOTON_CAP = old
 
@@ -282,7 +275,6 @@ def test_retrieval_identity_across_seeds():
             source_seed=seed,
             channel_seed=seed + 100,
             measure_seed=seed + 200,
-            photon_batch=200,
         )
         database = random_database(64, seed)
         item = (seed * 17) % 64
@@ -293,7 +285,7 @@ def test_retrieval_identity_across_seeds():
 
 def test_run_session_reports_failed_sessions():
     cfg = make_config(
-        n_items=1, substrings=1, theta=0.02, max_restarts=1, photon_batch=8,
+        n_items=1, substrings=1, theta=0.02, max_restarts=1,
         source_seed=400, channel_seed=401, measure_seed=402,
     )
     database = np.array([1], dtype=np.uint8)
@@ -365,7 +357,7 @@ def test_error_rate_keeps_one_bit_back():
 
 
 def test_channel_noise_feeds_error_rate():
-    cfg = make_config(n_items=400, substrings=1, theta=0.7, noise_rate=0.2, photon_batch=900)
+    cfg = make_config(n_items=400, substrings=1, theta=0.7, noise_rate=0.2)
     raw, alice_final, report = run_key_distribution(cfg)
     # with bit flips present some conclusive results are wrong
     wrong = np.count_nonzero(
@@ -385,11 +377,11 @@ def test_channel_noise_feeds_error_rate():
 
 
 def test_known_count_mean_tracks_expectation():
-    cfg_base = make_config(n_items=200, substrings=2, theta=0.7, photon_batch=440)
+    cfg_base = make_config(n_items=200, substrings=2, theta=0.7)
     counts = []
     for seed in range(400):
         cfg = make_config(
-            n_items=200, substrings=2, theta=0.7, photon_batch=440,
+            n_items=200, substrings=2, theta=0.7,
             source_seed=seed, channel_seed=10000 + seed, measure_seed=20000 + seed,
             max_restarts=0,
         )
@@ -406,7 +398,7 @@ def test_known_count_mean_tracks_expectation():
 
 
 def test_report_json_is_canonical_and_stable():
-    cfg = make_config(n_items=32, substrings=1, photon_batch=128)
+    cfg = make_config(n_items=32, substrings=1)
     database = random_database(32, 5)
     report, _, _ = run_session(cfg, database, 3)
     doc = report.to_json()
@@ -440,9 +432,3 @@ def test_config_validation():
         make_config(loss_rate=1.0)
     with pytest.raises(DomainError):
         make_config(substrings=0)
-
-
-def test_default_photon_batch_formula():
-    cfg = make_config(n_items=100, substrings=2, theta=0.5, photon_batch=None)
-    p = math.sin(0.5) ** 2 / 2
-    assert cfg.effective_batch() == math.ceil(2 * 200 / p)

@@ -147,9 +147,9 @@ def test_wire_matches_in_process_engine():
 
 
 def test_wire_public_fields_match_in_process_report():
-    # with the in-process batch pinned to the wire batch, even the photon
-    # counters agree across modes, so the public report views are equal
-    cfg = make_config(photon_batch=wire.WIRE_BATCH)
+    # both modes run the same rounds, and the photon counters stop at the
+    # last retained photon, so the public report views are equal
+    cfg = make_config()
     database = random_database(cfg.n_items, 9)
     report, _, _ = run_session(cfg, database, 11)
     assert report.success and report.restarted == 0
@@ -272,15 +272,20 @@ def test_tcp_server_hosts_sessions():
     server = wire.WireServer("127.0.0.1", 0, cfg, database, sessions=2)
     thread = threading.Thread(target=server.serve, daemon=True)
     thread.start()
-    results = []
-    for item in (5, 40):
+    finals = []
+    for index, item in enumerate((5, 40)):
         with socket.create_connection(("127.0.0.1", server.port)) as conn:
-            results.append(run_alice_endpoint(cfg, item, conn))
+            result = run_alice_endpoint(cfg, item, conn)
+        assert result.retrieved_bit == database[item]
+        # each connection's key is the in-process key of its derived config
+        report, _, final = run_session(server.session_config(index), database, item)
+        assert report.restarted == 0
+        assert np.array_equal(result.final.alice_mask, final.alice_mask)
+        assert np.array_equal(result.final.alice_bits, final.alice_bits)
+        finals.append(final.bits)
     thread.join(timeout=30)
-    assert results[0].retrieved_bit == database[5]
-    assert results[1].retrieved_bit == database[40]
-    # same seeds, same session: both connections see identical transcripts
-    assert results[0].report.conclusive_count == results[1].report.conclusive_count
+    # a fresh key per connection: known bits cannot be pooled across queries
+    assert not np.array_equal(finals[0], finals[1])
 
 
 def test_full_duplex_loss_session_over_wire():
