@@ -19,7 +19,6 @@ from .protocol import (
     Sender,
     SessionConfig,
     SessionReport,
-    estimate_error_rate,
     oblivious_query,
     run_key_distribution,
     run_session,
@@ -58,7 +57,6 @@ __all__ = [
     "attack_state",
     "carrier_state",
     "conclusive_probability",
-    "estimate_error_rate",
     "expected_known_bits",
     "failure_probability",
     "fidelity",

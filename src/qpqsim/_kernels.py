@@ -7,22 +7,22 @@ only on the seeds.
 
 import numpy as np
 
-# --- transmission: carrier choice, loss, optional bit flip, measurement ---
+# --- transmission: carrier choice, loss, measurement ---
 #
 # Per photon i the caller supplies
 #   u_label[i]   -> carrier label floor(u * 4)
 #   bases[i]     -> receiver basis (chosen by the receiver, not drawn here)
 #   u_chan[i, 0] -> photon lost when u < loss_rate
-#   u_chan[i, 1] -> bit flip when u < noise_rate
+#   u_chan[i, 1] -> unused: the channel keeps three draws per photon, since
+#                   with two every key would change
 #   u_chan[i, 2] -> outcome 1 when u >= P(outcome 0 | label, basis)
-# p0 / p0_flip are the (4, 2) outcome-0 probability tables.
+# p0 is the C-contiguous (4, 2) outcome-0 probability table.
 
 
-def _simulate_transmission_np(u_label, bases, u_chan, p0, p0_flip, loss_rate, noise_rate):
+def _simulate_transmission_np(u_label, bases, u_chan, p0, loss_rate):
     labels = (u_label * 4.0).astype(np.uint8)
     received = u_chan[:, 0] >= loss_rate
-    flip = u_chan[:, 1] < noise_rate
-    prob0 = np.where(flip, p0_flip[labels, bases], p0[labels, bases])
+    prob0 = p0.take(2 * labels + bases)
     outcomes = (u_chan[:, 2] >= prob0).astype(np.uint8)
     return labels, received, outcomes
 

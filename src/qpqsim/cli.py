@@ -5,8 +5,8 @@ is fully determined by its flags plus the seed; outputs land in --out
 (default ./out) as <command>-<params-hash>.<ext> and are byte-identical
 across repeated invocations.
 
-Exit codes: 1 usage, 2 infeasible parameters, 3 protocol abort or out of
-memory, 4 check failure.
+Exit codes: 1 usage or unreadable file, 2 infeasible parameters, 3 protocol
+abort, connection failure or out of memory, 4 check failure.
 """
 
 import argparse
@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     EmptyKeyMaskError,
     InfeasibleError,
-    InsufficientKeyError,
     ProtocolAbort,
     ResourceError,
 )
@@ -37,7 +36,7 @@ EXIT_PROTOCOL = 3
 EXIT_CHECK = 4
 
 _INFEASIBLE = (InfeasibleError, DomainError, CapacityError)
-_PROTOCOL = (ProtocolAbort, ResourceError, EmptyKeyMaskError, InsufficientKeyError, MemoryError)
+_PROTOCOL = (ProtocolAbort, ResourceError, EmptyKeyMaskError, MemoryError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +59,6 @@ def _session_config(args):
         substrings=args.k,
         theta=args.theta,
         loss_rate=args.loss,
-        noise_rate=getattr(args, "noise", 0.0),
         source_seed=source,
         channel_seed=channel,
         measure_seed=measure,
@@ -155,7 +153,10 @@ def cmd_serve(args):
     host, port = _parse_address(args.address)
     config = _session_config(args)
     database = _database_for(args)
-    server = wire.WireServer(host, port, config, database, sessions=args.sessions)
+    try:
+        server = wire.WireServer(host, port, config, database, sessions=args.sessions)
+    except OSError as exc:
+        raise ProtocolAbort(f"cannot listen on {args.address}: {exc}")
     print(f"listening on {host}:{server.port}", flush=True)
     handled = server.serve()
     _emit_doc(
@@ -175,7 +176,11 @@ def cmd_serve(args):
 def cmd_query(args):
     host, port = _parse_address(args.address)
     config = _session_config(args)
-    with socket.create_connection((host, port)) as conn:
+    try:
+        conn = socket.create_connection((host, port))
+    except OSError as exc:
+        raise ProtocolAbort(f"cannot connect to {args.address}: {exc}")
+    with conn:
         result = wire.run_alice_endpoint(config, args.item, conn)
     _emit_doc(args, result.report.to_dict())
     return EXIT_OK
@@ -260,7 +265,6 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--loss", type=float, default=0.0)
-    p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--item", type=int, required=True)
     p.add_argument("--database", default=None, help="hex or binary database file")
@@ -322,6 +326,9 @@ def main(argv=None):
     except _PROTOCOL as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
+    except OSError as exc:  # socket failures are ProtocolAbort by now: a file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -21,10 +21,6 @@ class ResourceError(QpqError, RuntimeError):
     """A safety cap on simulated resources was exhausted."""
 
 
-class InsufficientKeyError(QpqError, RuntimeError):
-    """Too few known key bits for the requested operation."""
-
-
 class EmptyKeyMaskError(QpqError, RuntimeError):
     """The user knows no final-key bit; the session must be restarted."""
 

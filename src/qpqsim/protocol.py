@@ -17,21 +17,17 @@ pump them over frames, so both modes run the same session code.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from ._kernels import simulate_transmission
-from .errors import (
-    DomainError,
-    EmptyKeyMaskError,
-    InsufficientKeyError,
-    ResourceError,
-)
+from .errors import DomainError, EmptyKeyMaskError, ResourceError
 from .qubits import Basis, _check_theta, born_outcome0_tables
 
 PHOTON_CAP = 10 ** 9  # safety cap per session attempt
-ROUND = 4096  # photons per transmission round, in-process and on the wire
+ROUND = 65536  # most photons per transmission round, in-process and on the wire
 
 
 @dataclass(frozen=True)
@@ -42,10 +38,6 @@ class SessionConfig:
     substrings: int
     theta: float
     loss_rate: float = 0.0
-    # Bit-flip probability on the quantum channel. No error correction
-    # exists for this kind of sparsely-known key, so noisy runs only feed
-    # the public error-rate estimate.
-    noise_rate: float = 0.0
     source_seed: int = 1
     channel_seed: int = 2
     measure_seed: int = 3
@@ -59,8 +51,6 @@ class SessionConfig:
         _check_theta(self.theta)
         if not 0.0 <= self.loss_rate < 1.0:
             raise DomainError(f"loss rate must lie in [0, 1), got {self.loss_rate}")
-        if not 0.0 <= self.noise_rate < 1.0:
-            raise DomainError(f"noise rate must lie in [0, 1), got {self.noise_rate}")
         if self.max_restarts < 0:
             raise DomainError("max_restarts must be >= 0")
 
@@ -78,8 +68,8 @@ def stream(seed, attempt=0, tag=0):
 
 
 def query_stream(config, attempt=0):
-    """Receiver-side stream for query-stage choices (known-index pick,
-    error-rate sampling), independent of how many photons were measured."""
+    """Receiver-side stream for the query-stage known-index pick,
+    independent of how many photons were measured."""
     return stream(config.measure_seed, attempt, tag=1)
 
 
@@ -214,18 +204,15 @@ class SessionReport:
         return json.dumps(self.to_dict(public_only=public_only), sort_keys=True)
 
 
-def simulate_batch(source_rng, channel_rng, bases, config, tables):
+def simulate_batch(source_rng, channel_rng, bases, config, p0):
     """One transmission round: sender draws labels, the channel draws
-    loss/flip/outcome uniforms, and the Born-rule kernel resolves the
-    receiver's outcomes for her submitted basis choices. tables are the
+    loss/outcome uniforms, and the Born-rule kernel resolves the
+    receiver's outcomes for her submitted basis choices. p0 is the
     born_outcome0_tables of config.theta."""
     count = bases.shape[0]
-    p0, p0_flip = tables
     u_label = source_rng.random(count)
     u_chan = channel_rng.random((count, 3))
-    return simulate_transmission(
-        u_label, bases, u_chan, p0, p0_flip, config.loss_rate, config.noise_rate
-    )
+    return simulate_transmission(u_label, bases, u_chan, p0, config.loss_rate)
 
 
 def draw_bases(measure_rng, count):
@@ -281,6 +268,12 @@ class _Party:
     def done(self):
         return self.retained >= self.config.raw_length
 
+    def next_round(self):
+        """Photons to request next: enough to complete the key in
+        expectation, at most ROUND."""
+        missing = self.config.raw_length - self.retained
+        return min(ROUND, math.ceil(missing / (1.0 - self.config.loss_rate)))
+
     def _retain(self, received):
         """Indices of this round's photons that join the raw key; the
         counters stop at the last retained photon, so no round size moves them."""
@@ -310,7 +303,7 @@ class Sender(_Party):
         super().__init__(config, attempt)
         self._source = stream(config.source_seed, attempt)
         self._channel = stream(config.channel_seed, attempt)
-        self._tables = born_outcome0_tables(config.theta)
+        self._p0 = born_outcome0_tables(config.theta)
         self._labels = []
         self.raw_bits = self.final_bits = self.exchange = None
 
@@ -318,7 +311,7 @@ class Sender(_Party):
         """Send one round measured in the receiver's bases; returns the
         loss flags and outcomes she observes."""
         labels, received, outcomes = simulate_batch(
-            self._source, self._channel, bases, self.config, self._tables
+            self._source, self._channel, bases, self.config, self._p0
         )
         self._labels.append(labels[self._retain(received)])
         return received, outcomes
@@ -411,12 +404,13 @@ def _single_pass(config, attempt):
     """One key-distribution attempt, pumping both parties in-process."""
     sender, receiver = Sender(config, attempt), Receiver(config, attempt)
     while not receiver.done:
-        if receiver.sent + ROUND > PHOTON_CAP:
+        count = receiver.next_round()
+        if receiver.sent + count > PHOTON_CAP:
             raise ResourceError(
                 f"photon budget exhausted: cap {PHOTON_CAP}, "
                 f"retained {receiver.retained}/{config.raw_length}"
             )
-        receiver.absorb(*sender.transmit(receiver.bases(ROUND)))
+        receiver.absorb(*sender.transmit(receiver.bases(count)))
     receiver.sift(sender.declaration())
     raw = replace(receiver.raw, bits=sender.raw_bits)
     final = replace(receiver.final, bits=sender.final_bits)
@@ -452,30 +446,6 @@ def oblivious_query(final, database, target_index, rng):
         raise DomainError(f"target index {target_index} out of range [0, {n})")
     j, s = _choose_shift(final, target_index, rng)
     return _open(final, target_index, j, s, _encrypt(database, final.bits, s))
-
-
-def estimate_error_rate(alice_final, bob_final, sample_fraction, rng):
-    """Publicly compare a sample of the receiver's known bits.
-
-    Revealed positions are consumed: their mask bits are cleared so later
-    queries cannot spend them, and at least one known bit is always held
-    back. Returns (rate, consumed positions); the rate is None when the
-    fraction rounds down to an empty sample.
-    """
-    if not 0.0 < sample_fraction <= 1.0:
-        raise DomainError(f"sample fraction must lie in (0, 1], got {sample_fraction}")
-    known = alice_final.known_positions()
-    if known.size <= 1:
-        raise InsufficientKeyError(
-            "insufficient key: need more than one known bit to spend any on checks"
-        )
-    count = min(int(sample_fraction * known.size), known.size - 1)
-    if count == 0:
-        return None, []
-    consumed = np.sort(rng.choice(known, size=count, replace=False))
-    mismatches = alice_final.alice_bits[consumed] != bob_final.bits[consumed]
-    alice_final.alice_mask[consumed] = False
-    return float(np.count_nonzero(mismatches) / count), [int(i) for i in consumed]
 
 
 def run_session(config, database, target_index):

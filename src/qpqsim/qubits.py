@@ -18,8 +18,6 @@ TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-10
 MAX_DENSITY_DIM = 2 ** 12
 
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
 
 class CarrierLabel(IntEnum):
     """The four carrier states. Unprimed labels code bit 0, primed code
@@ -200,18 +198,14 @@ def trace_distance(rho, sigma):
 def born_outcome0_tables(theta):
     """Probability of outcome 0 for every (carrier label, basis) pair.
 
-    Returns two (4, 2) float arrays: the first for photons arriving
-    intact, the second for photons hit by a channel bit flip (Pauli X).
-    These tables drive the vectorized transmission kernels.
+    Returns a C-contiguous (4, 2) float array, the table behind the
+    vectorized transmission kernel.
     """
     _check_theta(theta)
-    plain = np.empty((4, 2), dtype=np.float64)
-    flipped = np.empty((4, 2), dtype=np.float64)
+    table = np.empty((4, 2), dtype=np.float64)
     for label in CarrierLabel:
         psi = carrier_state(label, theta).amps
-        psi_x = _PAULI_X @ psi
         for basis in Basis:
             b0, _ = basis_states(basis, theta)
-            plain[label, basis] = abs(np.vdot(b0.amps, psi)) ** 2
-            flipped[label, basis] = abs(np.vdot(b0.amps, psi_x)) ** 2
-    return plain, flipped
+            table[label, basis] = abs(np.vdot(b0.amps, psi)) ** 2
+    return table

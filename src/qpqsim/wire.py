@@ -366,10 +366,11 @@ def run_alice_endpoint(config, target_index, conn, audit=None):
     fs.send(_hello(config))
     alice = Receiver(config)
     while not alice.done:
-        fs.send(PhotonBatchReq(count=ROUND))
-        fs.send(MeasureSubmit(bases=alice.bases(ROUND)))
+        count = alice.next_round()
+        fs.send(PhotonBatchReq(count=count))
+        fs.send(MeasureSubmit(bases=alice.bases(count)))
         batch = fs.expect(OutcomeBatch)
-        if batch.received.size != ROUND:
+        if batch.received.size != count:
             fs.fail(ERR_BAD_PARAMS, "outcome batch does not match requested size")
         alice.absorb(batch.received, batch.outcomes)
 

@@ -132,7 +132,7 @@ def test_c4_individual_usd_worked_example():
 def test_c5_sift_soundness_exhaustive():
     checked = wrong = 0
     for theta in np.linspace(0.01, math.pi / 2 - 0.01, 50):
-        p0, _ = born_outcome0_tables(theta)
+        p0 = born_outcome0_tables(theta)
         for label in CarrierLabel:
             declaration = label.declaration_letter
             for basis in Basis:

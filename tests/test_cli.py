@@ -2,6 +2,7 @@ import json
 import math
 import os
 import resource
+import socket
 import subprocess
 import sys
 
@@ -81,6 +82,54 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(args, tmp_path, capsys)
     assert code == 3
     assert err.startswith("error:")
+
+
+def run_cli_process(args, tmp_path):
+    return subprocess.run(
+        [sys.executable, "-m", "qpqsim.cli", *args, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+SESSION = ["--N", "64", "--k", "2", "--theta", "0.9", "--seed", "5"]
+
+
+def test_refused_connection_exits_3_without_traceback(tmp_path):
+    with socket.socket() as closed:  # bound but not listening: connects are refused
+        closed.bind(("127.0.0.1", 0))
+        address = "127.0.0.1:%d" % closed.getsockname()[1]
+        done = run_cli_process(["query", "--address", address, *SESSION, "--item", "3"], tmp_path)
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: cannot connect")
+    assert "Traceback" not in done.stderr
+
+
+def test_serve_on_port_in_use_exits_3_without_traceback(tmp_path):
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        address = "127.0.0.1:%d" % busy.getsockname()[1]
+        done = run_cli_process(["serve", "--address", address, *SESSION, "--sessions", "1"], tmp_path)
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: cannot listen")
+    assert "Traceback" not in done.stderr
+
+
+def test_missing_database_file_exits_1_without_traceback(tmp_path):
+    missing = str(tmp_path / "no-such-database.hex")
+    done = run_cli_process(["run", *SESSION, "--item", "3", "--database", missing], tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and "no-such-database.hex" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_noise_flag_is_gone(tmp_path, capsys):
+    # it used to exit 0 here while retrieving the wrong bit
+    args = ["run", "--N", "200", "--k", "1", "--theta", "0.7", "--noise", "0.2",
+            "--seed", "4", "--item", "0"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args, tmp_path, capsys)
+    assert exc.value.code == 1
 
 
 def test_t4_largest_row_runs_in_one_gib(tmp_path):

@@ -22,17 +22,13 @@ def inputs():
     }
 
 
-def transmission_loop(u_label, bases, u_chan, p0, p0_flip, loss_rate, noise_rate):
+def transmission_loop(u_label, bases, u_chan, p0, loss_rate):
     labels, received, outcomes = [], [], []
     for i in range(u_label.shape[0]):
         lab = int(u_label[i] * 4.0)
         labels.append(lab)
         received.append(u_chan[i, 0] >= loss_rate)
-        if u_chan[i, 1] < noise_rate:
-            prob0 = p0_flip[lab, bases[i]]
-        else:
-            prob0 = p0[lab, bases[i]]
-        outcomes.append(1 if u_chan[i, 2] >= prob0 else 0)
+        outcomes.append(1 if u_chan[i, 2] >= p0[lab, bases[i]] else 0)
     return labels, received, outcomes
 
 
@@ -67,8 +63,8 @@ def assert_same(got, want, dtype):
 
 
 def test_transmission_matches_reference_loop(inputs):
-    p0, p0_flip = born_outcome0_tables(0.47)
-    args = (inputs["u_label"], inputs["bases"], inputs["u_chan"], p0, p0_flip, 0.35, 0.02)
+    p0 = born_outcome0_tables(0.47)
+    args = (inputs["u_label"], inputs["bases"], inputs["u_chan"], p0, 0.35)
     labels, received, outcomes = _kernels.simulate_transmission(*args)
     ref_labels, ref_received, ref_outcomes = transmission_loop(*args)
     assert_same(labels, ref_labels, np.uint8)
@@ -76,7 +72,6 @@ def test_transmission_matches_reference_loop(inputs):
     assert_same(outcomes, ref_outcomes, np.uint8)
     # the inputs exercise every branch
     assert 0 < np.count_nonzero(received) < N
-    assert np.count_nonzero(inputs["u_chan"][:, 1] < 0.02) > 0
 
 
 def test_usd_trials_match_reference_loop(inputs):

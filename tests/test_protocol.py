@@ -8,14 +8,12 @@ from qpqsim import planner, protocol
 from qpqsim.errors import (
     DomainError,
     EmptyKeyMaskError,
-    InsufficientKeyError,
     ResourceError,
 )
 from qpqsim.protocol import (
     FinalKey,
     RawKey,
     SessionConfig,
-    estimate_error_rate,
     load_database,
     oblivious_query,
     random_database,
@@ -68,7 +66,7 @@ def test_sift_exhaustive_truth_table():
     # 8 conclusive cases out of the 16 (label, basis, outcome) combos;
     # conclusive-but-wrong must only ever occur with Born probability 0
     for theta in np.linspace(0.01, math.pi / 2 - 0.01, 50):
-        p0, _ = born_outcome0_tables(theta)
+        p0 = born_outcome0_tables(theta)
         conclusive_cases = 0
         for label in CarrierLabel:
             declaration = label.declaration_letter
@@ -123,6 +121,15 @@ def test_xor_compress_all_conclusive_and_errors():
 
 
 # --- session runs ----------------------------------------------------------------
+
+
+def test_public_api_resolves_and_channel_noise_is_gone():
+    import qpqsim
+
+    for name in qpqsim.__all__:
+        assert getattr(qpqsim, name) is not None, name
+    with pytest.raises(TypeError):
+        SessionConfig(n_items=10, substrings=1, theta=0.6, noise_rate=0.1)
 
 
 def test_conclusive_fraction_at_reference_theta():
@@ -292,85 +299,6 @@ def test_run_session_reports_failed_sessions():
     report, _, _ = run_session(cfg, database, 0)
     if not report.success:
         assert report.query is None
-
-
-# --- error-rate estimation --------------------------------------------------------
-
-
-def _final_pair(n=400, known_fraction=0.5, flip_fraction=0.0, seed=3):
-    rng = np.random.default_rng(seed)
-    bits = (rng.random(n) >= 0.5).astype(np.uint8)
-    mask = rng.random(n) < known_fraction
-    alice = FinalKey(bits=bits.copy(), alice_mask=mask, alice_bits=np.where(mask, bits, 0).astype(np.uint8))
-    bob_bits = bits.copy()
-    if flip_fraction:
-        known = np.flatnonzero(mask)
-        flips = known[rng.random(known.size) < flip_fraction]
-        bob_bits[flips] ^= 1
-    bob = FinalKey(bits=bob_bits, alice_mask=np.ones(n, dtype=bool), alice_bits=bob_bits)
-    return alice, bob
-
-
-def test_error_rate_identical_keys():
-    alice, bob = _final_pair()
-    known_before = set(alice.known_positions().tolist())
-    rate, consumed = estimate_error_rate(alice, bob, 0.5, np.random.default_rng(0))
-    assert rate == 0.0
-    assert consumed
-    # consumed positions were known and are now spent
-    assert set(consumed) <= known_before
-    assert not any(alice.alice_mask[i] for i in consumed)
-    assert alice.known_count >= 1
-
-
-def test_error_rate_detects_flips():
-    alice, bob = _final_pair(n=20000, flip_fraction=0.1, seed=11)
-    rate, consumed = estimate_error_rate(alice, bob, 0.9, np.random.default_rng(1))
-    count = len(consumed)
-    sigma = math.sqrt(0.1 * 0.9 / count)
-    assert abs(rate - 0.1) <= 4 * sigma
-
-
-def test_error_rate_edge_cases():
-    alice, bob = _final_pair()
-    rate, consumed = estimate_error_rate(alice, bob, 1e-6, np.random.default_rng(2))
-    assert rate is None
-    assert consumed == []
-    # exactly one known bit: refuse
-    one = FinalKey(
-        bits=np.array([1, 0], dtype=np.uint8),
-        alice_mask=np.array([True, False]),
-        alice_bits=np.array([1, 0], dtype=np.uint8),
-    )
-    with pytest.raises(InsufficientKeyError):
-        estimate_error_rate(one, bob, 0.5, np.random.default_rng(3))
-    with pytest.raises(DomainError):
-        estimate_error_rate(alice, bob, 0.0, np.random.default_rng(4))
-
-
-def test_error_rate_keeps_one_bit_back():
-    alice, bob = _final_pair(n=40, known_fraction=0.2, seed=9)
-    before = alice.known_count
-    rate, consumed = estimate_error_rate(alice, bob, 1.0, np.random.default_rng(5))
-    assert len(consumed) == before - 1
-    assert alice.known_count == 1
-
-
-def test_channel_noise_feeds_error_rate():
-    cfg = make_config(n_items=400, substrings=1, theta=0.7, noise_rate=0.2)
-    raw, alice_final, report = run_key_distribution(cfg)
-    # with bit flips present some conclusive results are wrong
-    wrong = np.count_nonzero(
-        raw.alice_bits[raw.alice_mask] != raw.bits[raw.alice_mask]
-    )
-    assert wrong > 0
-    bob_final = FinalKey(
-        bits=alice_final.bits,
-        alice_mask=np.ones(cfg.n_items, dtype=bool),
-        alice_bits=alice_final.bits,
-    )
-    rate, _ = estimate_error_rate(alice_final, bob_final, 0.9, np.random.default_rng(8))
-    assert rate is not None and rate > 0.0
 
 
 # --- known-count law (small version; the full one runs in acceptance) -------------

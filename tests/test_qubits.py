@@ -111,7 +111,7 @@ def test_tensor_preserves_normalization_on_grid():
 def test_born_statistics_all_label_basis_pairs():
     # empirical outcome-0 frequency within 4 sigma for each pair
     theta = 0.73
-    p0, _ = born_outcome0_tables(theta)
+    p0 = born_outcome0_tables(theta)
     rng = np.random.default_rng(77)
     n = 10 ** 5
     for label in CarrierLabel:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpqsim import wire
+from qpqsim import protocol, wire
 from qpqsim.errors import CapacityError, ProtocolAbort
 from qpqsim.protocol import SessionConfig, random_database, run_session
 from qpqsim.wire import (
@@ -146,6 +146,34 @@ def test_wire_matches_in_process_engine():
         assert alice_res.report.query.shift == report.query.shift
 
 
+def test_lossless_session_simulates_exactly_kn_photons(monkeypatch):
+    # rounds are sized to the photons the key still misses, so without loss
+    # both modes simulate k*N photons and not one round's worth more
+    simulated = []
+    simulate_batch = protocol.simulate_batch
+
+    def counting(source_rng, channel_rng, bases, config, p0):
+        simulated.append(bases.shape[0])
+        return simulate_batch(source_rng, channel_rng, bases, config, p0)
+
+    monkeypatch.setattr(protocol, "simulate_batch", counting)
+    cfg = make_config(n_items=1000, substrings=2, theta=0.6)
+    database = random_database(cfg.n_items, 4)
+    report, _, _ = run_session(cfg, database, 42)
+    assert report.success and report.restarted == 0
+    assert sum(simulated) == cfg.raw_length == 2000
+
+    submitted = []
+
+    def audit_bob(direction, msg):
+        if direction == "recv" and isinstance(msg, MeasureSubmit):
+            submitted.append(msg.bases.size)
+
+    _, alice_res = run_local_session(cfg, database, 42, audit_bob=audit_bob)
+    assert sum(submitted) == 2000
+    assert alice_res.report.to_dict() == report.to_dict()
+
+
 def test_wire_public_fields_match_in_process_report():
     # both modes run the same rounds, and the photon counters stop at the
     # last retained photon, so the public report views are equal
@@ -207,6 +235,46 @@ def test_out_of_order_frame_aborts_with_order_error():
     thread.join()
     assert isinstance(msg, Error)
     assert msg.code == wire.ERR_ORDER
+
+
+def _bob_reply(cfg, *frames):
+    """Bob's answer to HELLO followed by frames."""
+    database = random_database(cfg.n_items, 1)
+    left, right = socket.socketpair()
+
+    def bob():
+        try:
+            run_bob_endpoint(cfg, database, left)
+        except ProtocolAbort:
+            pass
+        finally:
+            left.close()
+
+    thread = threading.Thread(target=bob)
+    thread.start()
+    fs = wire.FrameStream(right)
+    for frame in (wire._hello(cfg),) + frames:
+        fs.send(frame)
+    msg = fs.recv()
+    right.close()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    return msg
+
+
+@pytest.mark.parametrize(
+    "frames",
+    [
+        (PhotonBatchReq(count=0),),
+        (PhotonBatchReq(count=wire.ROUND + 1),),
+        (PhotonBatchReq(count=10), MeasureSubmit(bases=np.zeros(9, dtype=np.uint8))),
+    ],
+    ids=["empty-round", "round-over-limit", "bases-not-matching-round"],
+)
+def test_bad_round_rejected(frames):
+    msg = _bob_reply(make_config(), *frames)
+    assert isinstance(msg, Error)
+    assert msg.code == wire.ERR_BAD_PARAMS
 
 
 def test_parameter_mismatch_rejected():
