@@ -19,7 +19,6 @@ from .protocol import (
     Sender,
     SessionConfig,
     SessionReport,
-    oblivious_query,
     run_key_distribution,
     run_session,
     sift,
@@ -60,7 +59,6 @@ __all__ = [
     "expected_known_bits",
     "failure_probability",
     "fidelity",
-    "oblivious_query",
     "plan_min_k",
     "run_key_distribution",
     "run_session",

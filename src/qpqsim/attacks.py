@@ -283,7 +283,7 @@ def conclusive_branch_weights(theta, want_conclusive=True):
 # --- figure series -------------------------------------------------------------
 
 
-def fig_data(which, theta_grid=None, substring_range=None, theta_set=None, n_items=None):
+def fig_data(which, n_items=None):
     """Plot-ready series for the security figures.
 
     F3: per-photon success of unambiguous discrimination (1 - cos theta)
@@ -293,8 +293,8 @@ def fig_data(which, theta_grid=None, substring_range=None, theta_set=None, n_ite
     F5: the steered conclusiveness probability cos^2(theta/2) with the
     symmetric-case (theta = pi/4) reference value.
     """
+    grid = np.linspace(0.01, 1.56, 156)
     if which == "F3":
-        grid = theta_grid if theta_grid is not None else np.linspace(0.01, 1.56, 156)
         return {
             "figure": "F3",
             "x_name": "theta",
@@ -304,11 +304,9 @@ def fig_data(which, theta_grid=None, substring_range=None, theta_set=None, n_ite
             ],
         }
     if which == "F4":
-        thetas = theta_set if theta_set is not None else (0.2, 0.25, 0.3, math.pi / 4)
-        ks = substring_range if substring_range is not None else range(1, 9)
-        ks = np.array(list(ks))
+        ks = np.arange(1, 9)
         series = []
-        for theta in thetas:
+        for theta in (0.2, 0.25, 0.3, math.pi / 4):
             bounds = np.array([joint_usd_bound(theta, int(k)) for k in ks])
             series.append({"label": f"theta={theta:.3f}", "x": ks, "y": bounds})
             if n_items is not None:
@@ -316,7 +314,6 @@ def fig_data(which, theta_grid=None, substring_range=None, theta_set=None, n_ite
                 series.append({"label": label, "x": ks, "y": n_items * bounds})
         return {"figure": "F4", "x_name": "substrings", "series": series}
     if which == "F5":
-        grid = theta_grid if theta_grid is not None else np.linspace(0.01, 1.56, 156)
         return {
             "figure": "F5",
             "x_name": "theta",

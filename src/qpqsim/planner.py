@@ -276,45 +276,38 @@ def check_tables():
 # --- figure series ----------------------------------------------------------
 
 
-def flexibility_series(target_known=3.0, substring_range=(1, 2, 3, 4, 5, 6), n_grid=None):
-    """Theta needed to hit the target expectation, per substring count,
-    across database sizes. One series per k; every point satisfies
-    N * p(theta)^k = target exactly (up to float round-off)."""
-    if n_grid is None:
-        n_grid = np.unique(np.logspace(1, 6, 121).astype(np.int64))
+def _theta_series(points, solve):
+    """One series per substring count 1..6 of the theta that solve(k, x)
+    returns at each point x, skipping points no theta inside the protocol
+    reaches."""
     series = []
-    for k in substring_range:
+    for k in range(1, 7):
         xs, ys = [], []
-        for n in n_grid:
+        for x in points:
             try:
-                theta = solve_theta(int(n), k, target_known)
+                theta = solve(k, x)
             except (InfeasibleError, DomainError):
                 continue
             if theta >= math.pi / 2 - _EDGE:  # p = 1/2 boundary, outside the protocol
                 continue
-            xs.append(int(n))
+            xs.append(x)
             ys.append(theta)
         if xs:
             series.append({"label": f"k={k}", "x": np.array(xs), "y": np.array(ys)})
+    return series
+
+
+def flexibility_series(target_known=3.0):
+    """Theta needed to hit the target expectation, per substring count,
+    across database sizes. One series per k; every point satisfies
+    N * p(theta)^k = target exactly (up to float round-off)."""
+    n_grid = np.unique(np.logspace(1, 6, 121).astype(np.int64)).tolist()
+    series = _theta_series(n_grid, lambda k, n: solve_theta(n, k, target_known))
     return {"figure": "F1", "x_name": "N", "y_name": "theta", "series": series}
 
 
-def tradeoff_series(n_items=10 ** 4, substring_range=(1, 2, 3, 4, 5, 6), target_grid=None):
+def tradeoff_series(n_items=10 ** 4):
     """Theta needed for a range of target expectations at one database size."""
-    if target_grid is None:
-        target_grid = np.linspace(1.0, 50.0, 99)
-    series = []
-    for k in substring_range:
-        xs, ys = [], []
-        for target in target_grid:
-            try:
-                theta = solve_theta(n_items, k, float(target))
-            except (InfeasibleError, DomainError):
-                continue
-            if theta >= math.pi / 2 - _EDGE:
-                continue
-            xs.append(float(target))
-            ys.append(theta)
-        if xs:
-            series.append({"label": f"k={k}", "x": np.array(xs), "y": np.array(ys)})
+    targets = np.linspace(1.0, 50.0, 99).tolist()
+    series = _theta_series(targets, lambda k, target: solve_theta(n_items, k, target))
     return {"figure": "F2", "x_name": "n_bar", "y_name": "theta", "series": series}

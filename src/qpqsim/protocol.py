@@ -13,7 +13,10 @@ receiver measurement) plus a derived query stream, with a fixed number of
 draws per photon, so results are independent of round sizes. The two
 parties are sans-I/O objects, Sender and Receiver, that exchange plain
 arrays: the in-process engine pumps them directly and the wire endpoints
-pump them over frames, so both modes run the same session code.
+pump them over frames, so both modes run the same session code, the
+query phase included (Receiver.query, Sender.answer, Receiver.retrieve).
+Both modes check the database size and target index before the first
+photon.
 """
 
 import json
@@ -115,9 +118,6 @@ class FinalKey:
     @property
     def known_count(self):
         return int(np.count_nonzero(self.alice_mask))
-
-    def known_positions(self):
-        return np.flatnonzero(self.alice_mask)
 
 
 def _fold(bits, substrings):
@@ -228,32 +228,6 @@ def sift_batch(bases, outcomes, declarations):
     return mask, alice_bits
 
 
-def _choose_shift(final, target_index, rng):
-    """Receiver's half of the query: a known position j picked uniformly,
-    and the shift s = (j - i) mod N that aligns it with item i."""
-    known = final.known_positions()
-    if known.size == 0:
-        raise EmptyKeyMaskError("receiver knows no final-key bit; restart the session")
-    j = int(known[int(rng.random() * known.size)])
-    return j, (j - target_index) % final.bits.size
-
-
-def _encrypt(database, final_bits, shift):
-    """Sender's half of the query: item m is padded with key bit m + s."""
-    return (database ^ np.roll(final_bits, -shift)).astype(np.uint8)
-
-
-def _open(final, target_index, known_index, shift, ciphertext):
-    """The receiver's record of an exchange, with the item she decrypts."""
-    return QueryExchange(
-        target_index=target_index,
-        known_index=known_index,
-        shift=shift,
-        ciphertext=ciphertext,
-        retrieved_bit=int(ciphertext[target_index] ^ final.alice_bits[known_index]),
-    )
-
-
 class _Party:
     """State both parties keep alike: the retention rule and the photon
     counters. Each side applies the rule to the same loss flags, so both
@@ -325,9 +299,10 @@ class Sender(_Party):
         return (labels & 1).astype(np.uint8)
 
     def answer(self, database, shift):
-        """Ciphertext for an announced shift."""
+        """Ciphertext for an announced shift s: item m is padded with key
+        bit m + s."""
         s = shift % self.config.n_items
-        ciphertext = _encrypt(database, self.final_bits, s)
+        ciphertext = (database ^ np.roll(self.final_bits, -s)).astype(np.uint8)
         self.exchange = QueryExchange(
             target_index=-1, known_index=-1, shift=s, ciphertext=ciphertext, retrieved_bit=-1
         )
@@ -379,16 +354,23 @@ class Receiver(_Party):
         return int(np.count_nonzero(mask))
 
     def query(self, target_index):
-        """Choose the known bit for item target_index; returns the shift."""
-        rng = query_stream(self.config, self.attempt)
-        known, shift = _choose_shift(self.final, target_index, rng)
-        self._pending = (target_index, known, shift)
+        """Pick a known final-key position j uniformly; returns the shift
+        s = (j - i) mod N that aligns it with item i = target_index."""
+        known = np.flatnonzero(self.final.alice_mask)
+        if known.size == 0:
+            raise EmptyKeyMaskError("receiver knows no final-key bit; restart the session")
+        j = int(known[int(query_stream(self.config, self.attempt).random() * known.size)])
+        shift = (j - target_index) % self.config.n_items
+        self._pending = (target_index, j, shift)
         return shift
 
     def retrieve(self, ciphertext):
-        """Decrypt the queried item from the sender's ciphertext."""
-        self.exchange = _open(self.final, *self._pending, ciphertext)
-        return self.exchange.retrieved_bit
+        """Decrypt the queried item from the sender's ciphertext with
+        known key bit j."""
+        target, j, shift = self._pending
+        bit = int(ciphertext[target] ^ self.final.alice_bits[j])
+        self.exchange = QueryExchange(target, j, shift, ciphertext, retrieved_bit=bit)
+        return bit
 
     def report(self):
         known = self.final.known_count
@@ -412,9 +394,20 @@ def _single_pass(config, attempt):
             )
         receiver.absorb(*sender.transmit(receiver.bases(count)))
     receiver.sift(sender.declaration())
+    return sender, receiver
+
+
+def _distribute(config):
+    """Attempts until the receiver knows a final-key bit or the restarts
+    run out. Returns the last attempt's parties and its raw and final
+    keys: the receiver's view with the sender's truth bits."""
+    for attempt in range(config.max_restarts + 1):
+        sender, receiver = _single_pass(config, attempt)
+        if receiver.final.known_count:
+            break
     raw = replace(receiver.raw, bits=sender.raw_bits)
     final = replace(receiver.final, bits=sender.final_bits)
-    return raw, final, receiver.report()
+    return sender, receiver, raw, final
 
 
 def run_key_distribution(config):
@@ -424,43 +417,26 @@ def run_key_distribution(config):
     leaves the receiver with zero known bits is reported with
     success=False rather than raising.
     """
-    for attempt in range(config.max_restarts + 1):
-        raw, final, report = _single_pass(config, attempt)
-        if report.success:
-            break
-    return raw, final, report
+    _, receiver, raw, final = _distribute(config)
+    return raw, final, receiver.report()
 
 
-def oblivious_query(final, database, target_index, rng):
-    """Shift-aligned one-time-pad retrieval of one database bit.
-
-    The receiver picks one known final-key position j uniformly, announces
-    s = (j - i) mod N, and the sender encrypts with the key rotated by s so
-    that position i is covered by key bit j.
+def run_session(config, database, target_index):
+    """Key distribution followed by one oblivious query, run through the
+    same party calls as the wire endpoints. The database size and target
+    index are checked before the first photon. Returns (report, raw key,
+    final key); the report carries the query when the session succeeded.
     """
     database = np.asarray(database, dtype=np.uint8)
-    n = final.bits.size
+    n = config.n_items
     if database.size != n:
         raise DomainError(f"database has {database.size} bits, key has {n}")
     if not 0 <= target_index < n:
         raise DomainError(f"target index {target_index} out of range [0, {n})")
-    j, s = _choose_shift(final, target_index, rng)
-    return _open(final, target_index, j, s, _encrypt(database, final.bits, s))
-
-
-def run_session(config, database, target_index):
-    """Key distribution followed by one oblivious query.
-
-    Returns (report, raw key, final key). The report carries the query
-    when the session succeeded.
-    """
-    raw, final, report = run_key_distribution(config)
-    if not report.success:
-        return report, raw, final
-    qrng = query_stream(config, attempt=report.restarted)
-    query = oblivious_query(final, database, target_index, qrng)
-    report.query = query
-    return report, raw, final
+    sender, receiver, raw, final = _distribute(config)
+    if receiver.final.known_count:
+        receiver.retrieve(sender.answer(database, receiver.query(target_index)))
+    return receiver.report(), raw, final
 
 
 # --- database files ----------------------------------------------------------

@@ -427,8 +427,8 @@ def run_local_session(config, database, target_index, audit_bob=None, audit_alic
     finally:
         right.close()
         thread.join(timeout=30)
-    if errors:
-        raise ProtocolAbort(f"local session failed: {errors}")
+    if errors:  # sorted, so Alice's error leads whichever thread failed first
+        raise ProtocolAbort(f"local session failed: {dict(sorted(errors.items()))}")
     return results["bob"], results["alice"]
 
 

@@ -306,13 +306,17 @@ def test_bob_attack_steers_more_than_honest_rate():
 
 
 def test_fig3_series_values_and_ordering():
-    grid = np.append(np.linspace(0.01, 1.56, 156), math.pi / 4)
-    doc = fig_data("F3", theta_grid=grid)
+    doc = fig_data("F3")
     by_label = {s["label"]: s for s in doc["series"]}
     usd = by_label["usd"]
     projective = by_label["projective"]
-    assert usd["y"][-1] == pytest.approx(0.2929, abs=5e-5)
-    assert projective["y"][-1] == pytest.approx(0.25, abs=1e-12)
+    grid = usd["x"]
+    assert np.array_equal(projective["x"], grid)
+    np.testing.assert_allclose(usd["y"], 1.0 - np.cos(grid), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(projective["y"], np.sin(grid) ** 2 / 2.0, rtol=0, atol=1e-12)
+    # pi/4 lies between grid points 0.78 and 0.79
+    assert np.interp(math.pi / 4, grid, usd["y"]) == pytest.approx(0.2929, abs=5e-5)
+    assert np.interp(math.pi / 4, grid, projective["y"]) == pytest.approx(0.25, abs=1e-7)
     assert np.all(usd["y"] >= projective["y"] - 1e-12)
 
 

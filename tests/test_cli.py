@@ -123,6 +123,18 @@ def test_missing_database_file_exits_1_without_traceback(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("item", ["5", "-1"])
+def test_run_bad_item_exits_2_without_traceback(tmp_path, item):
+    # this session fails, so the target used to go unchecked: item 5 raised
+    # IndexError, item -1 reported the last item's bit
+    args = ["run", "--N", "1", "--k", "1", "--theta", "0.02", "--seed", "1", "--item", item]
+    done = run_cli_process(args, tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "target index" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_noise_flag_is_gone(tmp_path, capsys):
     # it used to exit 0 here while retrieving the wrong bit
     args = ["run", "--N", "200", "--k", "1", "--theta", "0.7", "--noise", "0.2",

@@ -15,7 +15,6 @@ from qpqsim.protocol import (
     RawKey,
     SessionConfig,
     load_database,
-    oblivious_query,
     random_database,
     run_key_distribution,
     run_session,
@@ -225,52 +224,57 @@ def test_photon_budget_cap():
 # --- query -----------------------------------------------------------------------
 
 
-def test_oblivious_query_hand_example():
-    final = FinalKey(
-        bits=np.array([1, 0, 1, 1, 0], dtype=np.uint8),
-        alice_mask=np.ones(5, dtype=bool),
-        alice_bits=np.array([1, 0, 1, 1, 0], dtype=np.uint8),
+def query_parties(monkeypatch, bits, alice_mask, alice_bits, *uniforms):
+    """Sender and receiver holding a given final key, with the receiver's
+    query stream scripted to the given uniforms."""
+    n = len(bits)
+    cfg = make_config(n_items=n)
+    sender, receiver = protocol.Sender(cfg), protocol.Receiver(cfg)
+    sender.final_bits = np.array(bits, dtype=np.uint8)
+    receiver.final = FinalKey(
+        bits=np.zeros(n, dtype=np.uint8),
+        alice_mask=np.array(alice_mask, dtype=bool),
+        alice_bits=np.array(alice_bits, dtype=np.uint8),
     )
+    monkeypatch.setattr(protocol, "query_stream", lambda *args: FixedUniform(*uniforms))
+    return sender, receiver
+
+
+def test_oblivious_query_hand_example(monkeypatch):
+    bits = [1, 0, 1, 1, 0]
+    sender, receiver = query_parties(monkeypatch, bits, [True] * 5, bits, 0.9)
     database = np.array([0, 1, 0, 1, 0], dtype=np.uint8)
-    query = oblivious_query(final, database, 2, FixedUniform(0.9))  # picks j=4
-    assert query.known_index == 4
-    assert query.shift == 2
-    assert query.ciphertext.tolist() == [1, 0, 0, 0, 0]
-    assert query.retrieved_bit == 0 == database[2]
+    shift = receiver.query(2)  # picks j=4
+    ciphertext = sender.answer(database, shift)
+    assert receiver.retrieve(ciphertext) == 0 == database[2]
+    assert receiver.exchange.known_index == 4
+    assert shift == receiver.exchange.shift == sender.exchange.shift == 2
+    assert ciphertext.tolist() == [1, 0, 0, 0, 0]
 
 
-def test_oblivious_query_zero_shift():
-    final = FinalKey(
-        bits=np.array([1, 0, 1], dtype=np.uint8),
-        alice_mask=np.array([False, True, False]),
-        alice_bits=np.array([0, 0, 0], dtype=np.uint8),
-    )
+def test_oblivious_query_zero_shift(monkeypatch):
+    sender, receiver = query_parties(monkeypatch, [1, 0, 1], [False, True, False], [0, 0, 0], 0.0)
     database = np.array([1, 1, 0], dtype=np.uint8)
-    query = oblivious_query(final, database, 1, FixedUniform(0.0))
-    assert query.shift == 0
-    assert query.retrieved_bit == database[1]
+    shift = receiver.query(1)
+    assert shift == 0
+    assert receiver.retrieve(sender.answer(database, shift)) == database[1]
 
 
-def test_oblivious_query_requires_known_bit():
-    final = FinalKey(
-        bits=np.zeros(4, dtype=np.uint8),
-        alice_mask=np.zeros(4, dtype=bool),
-        alice_bits=np.zeros(4, dtype=np.uint8),
-    )
+def test_oblivious_query_requires_known_bit(monkeypatch):
+    _, receiver = query_parties(monkeypatch, [0] * 4, [False] * 4, [0] * 4, 0.1)
     with pytest.raises(EmptyKeyMaskError):
-        oblivious_query(final, np.zeros(4, dtype=np.uint8), 0, FixedUniform(0.1))
+        receiver.query(0)
 
 
-def test_oblivious_query_validates_index_and_sizes():
-    final = FinalKey(
-        bits=np.array([1, 0], dtype=np.uint8),
-        alice_mask=np.array([True, False]),
-        alice_bits=np.array([1, 0], dtype=np.uint8),
-    )
-    with pytest.raises(DomainError):
-        oblivious_query(final, np.zeros(2, dtype=np.uint8), 2, FixedUniform(0.1))
-    with pytest.raises(DomainError):
-        oblivious_query(final, np.zeros(3, dtype=np.uint8), 0, FixedUniform(0.1))
+def test_oblivious_query_validates_index_and_sizes(monkeypatch):
+    # checked before the first photon, even in a session that would fail
+    calls = []
+    monkeypatch.setattr(protocol, "simulate_batch", lambda *args: calls.append(args))
+    cfg = make_config(n_items=2, theta=0.02, max_restarts=0)
+    for database, target in ((np.zeros(2), 2), (np.zeros(2), -1), (np.zeros(3), 0)):
+        with pytest.raises(DomainError):
+            run_session(cfg, database, target)
+    assert calls == []
 
 
 def test_retrieval_identity_across_seeds():

@@ -300,6 +300,20 @@ def test_parameter_mismatch_rejected():
     assert err.value.code == wire.ERR_BAD_PARAMS
 
 
+def test_local_abort_message_does_not_depend_on_thread_order():
+    # p ~ 2e-4 with one attempt: Alice aborts, then Bob reads her ERROR frame;
+    # the two errors used to be listed in the order the threads failed
+    cfg = SessionConfig(n_items=1, substrings=1, theta=0.02, max_restarts=0)
+    messages = set()
+    for _ in range(20):
+        with pytest.raises(ProtocolAbort) as err:
+            run_local_session(cfg, np.zeros(1, dtype=np.uint8), 0)
+        messages.add(str(err.value))
+    (message,) = messages
+    assert message.startswith("local session failed: {'alice': ")
+    assert "'bob': " in message
+
+
 def test_privacy_hygiene_of_frames():
     # sender never transmits labels or coded bits; receiver reveals only
     # counts and the shift (never the target index or mask positions)
