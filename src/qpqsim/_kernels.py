@@ -28,22 +28,24 @@ def _simulate_transmission_np(u_label, bases, u_chan, p0, loss_rate):
 
 
 def _usd_trials_np(u, truth, p_wrong, p_right):
-    # codes: 0 = inconclusive, 1 = correct identification, 2 = wrong one
-    pw = p_wrong[truth]
-    pr = p_right[truth]
-    codes = np.zeros(u.shape[0], dtype=np.uint8)
-    codes[u < pw + pr] = 1
+    # codes: 0 = inconclusive, 1 = correct identification, 2 = wrong one.
+    # Two stages, since u < pw implies u < pw + pr only when pr >= 0.
+    index = truth.astype(np.intp)
+    pw = p_wrong.take(index)
+    codes = (u < pw + p_right.take(index)).view(np.uint8)
     codes[u < pw] = 2
     return codes
 
 
 def _conclusiveness_trials_np(u, p0_attack, want_conclusive):
-    attack = (u[:, 0] >= 0.5).astype(np.uint8)
-    announce = attack ^ 1 if want_conclusive else attack
-    bases = (u[:, 1] >= 0.5).astype(np.uint8)
-    outcomes = (u[:, 2] >= p0_attack[attack, bases]).astype(np.uint8)
-    conclusive = outcomes != announce
-    bits = (1 - bases).astype(np.uint8)
+    attack = u[:, 0] >= 0.5
+    bases = u[:, 1] >= 0.5
+    index = np.add(attack, attack, dtype=np.intp)  # flat index of p0_attack[attack, bases]
+    index += bases
+    outcomes = u[:, 2] >= p0_attack.take(index)
+    # the announced letter is the attack label, flipped to seek a conclusive result
+    conclusive = outcomes != (attack ^ bool(want_conclusive))
+    bits = (~bases).view(np.uint8)
     return conclusive, bits
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import protocol
 from ._kernels import conclusiveness_trials, usd_trials
 from .errors import CapacityError, DomainError
 from .planner import MAX_SUBSTRINGS
@@ -169,6 +170,17 @@ class AttackReport:
         return dict_to_csv(self.to_dict())
 
 
+def _rounds(trials, per_trial):
+    """Slices of the raw photons, one per round a Monte Carlo attack
+    draws and counts: whole trials of per_trial photons, at most
+    protocol.ROUND photons unless one trial alone is longer. The
+    generator reads the same stream for any round size."""
+    total = trials * per_trial
+    step = max(1, protocol.ROUND // per_trial) * per_trial
+    for start in range(0, total, step):
+        yield slice(start, min(start + step, total))
+
+
 def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=None):
     """Store-and-discriminate attack, one photon at a time.
 
@@ -190,13 +202,21 @@ def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=
     p_right = np.array([p_e0_0, p_e1_1])
     p_wrong = np.array([p_e1_0, p_e0_1])
 
-    raw_bits = trials * substrings
-    truth = (rng.random(raw_bits) >= 0.5).astype(np.uint8)
-    codes = usd_trials(rng.random(raw_bits), truth, p_wrong, p_right)
-    wrong = int(np.count_nonzero(codes == 2))
-    success = (codes == 1).reshape(trials, substrings)
-    all_known = np.all(success, axis=1)
-    q_hat = float(np.count_nonzero(all_known) / trials)
+    # every truth bit is drawn before the first discrimination uniform
+    truth = np.empty(trials * substrings, dtype=np.uint8)
+    for part in _rounds(trials, substrings):
+        truth[part] = rng.random(part.stop - part.start) >= 0.5
+    wrong = known = 0
+    for part in _rounds(trials, substrings):
+        codes = usd_trials(rng.random(part.stop - part.start), truth[part], p_wrong, p_right)
+        wrong += int(np.count_nonzero(codes == 2))
+        # AND the k columns: np.all over rows of k is several times slower
+        success = (codes == 1).reshape(-1, substrings)
+        all_known = success[:, 0].copy()
+        for column in range(1, substrings):
+            all_known &= success[:, column]
+        known += int(np.count_nonzero(all_known))
+    q_hat = known / trials
     sigma_q = math.sqrt(max(q_hat * (1.0 - q_hat), 1e-300) / trials)
 
     analytic = n_items * (1.0 - math.cos(theta)) ** substrings
@@ -238,13 +258,15 @@ def bob_conclusiveness_attack(theta, want_conclusive, trials=DEFAULT_TRIALS, rng
             b0, _ = basis_states(basis, theta)
             p0_attack[a, basis] = abs(b0.overlap(psi)) ** 2
 
-    conclusive, bits = conclusiveness_trials(
-        rng.random((trials, 3)), p0_attack, bool(want_conclusive)
-    )
-    hits = int(np.count_nonzero(conclusive))
+    hits = ones = 0
+    for part in _rounds(trials, 1):
+        conclusive, bits = conclusiveness_trials(
+            rng.random((part.stop - part.start, 3)), p0_attack, bool(want_conclusive)
+        )
+        hits += int(np.count_nonzero(conclusive))
+        ones += int(np.count_nonzero(bits & conclusive))
     rate = hits / trials
     sigma = math.sqrt(max(rate * (1.0 - rate), 1e-300) / trials)
-    ones = int(np.count_nonzero(bits[conclusive]))
 
     half = theta / 2.0
     analytic = math.cos(half) ** 2 if want_conclusive else math.sin(half) ** 2

@@ -164,6 +164,7 @@ def cmd_serve(args):
         {
             "command": "serve",
             "sessions_handled": handled,
+            "outcomes": dict(sorted(server.outcomes.items())),
             "n_items": config.n_items,
             "substrings": config.substrings,
             "theta": config.theta,
@@ -176,8 +177,9 @@ def cmd_serve(args):
 def cmd_query(args):
     host, port = _parse_address(args.address)
     config = _session_config(args)
+    protocol.check_target(config, args.item)
     try:
-        conn = socket.create_connection((host, port))
+        conn = socket.create_connection((host, port), timeout=wire.SOCKET_TIMEOUT)
     except OSError as exc:
         raise ProtocolAbort(f"cannot connect to {args.address}: {exc}")
     with conn:

@@ -421,6 +421,13 @@ def run_key_distribution(config):
     return raw, final, receiver.report()
 
 
+def check_target(config, target_index):
+    """The receiver's target must index the N-item database; every mode
+    checks it before the first photon."""
+    if not 0 <= target_index < config.n_items:
+        raise DomainError(f"target index {target_index} out of range [0, {config.n_items})")
+
+
 def run_session(config, database, target_index):
     """Key distribution followed by one oblivious query, run through the
     same party calls as the wire endpoints. The database size and target
@@ -431,8 +438,7 @@ def run_session(config, database, target_index):
     n = config.n_items
     if database.size != n:
         raise DomainError(f"database has {database.size} bits, key has {n}")
-    if not 0 <= target_index < n:
-        raise DomainError(f"target index {target_index} out of range [0, {n})")
+    check_target(config, target_index)
     sender, receiver, raw, final = _distribute(config)
     if receiver.final.known_count:
         receiver.retrieve(sender.answer(database, receiver.query(target_index)))

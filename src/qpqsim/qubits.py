@@ -119,6 +119,12 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
+def _carrier_amps(theta):
+    """Rows K0, K1, K0', K1': the four carrier amplitude vectors."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([(1.0, 0.0), (0.0, 1.0), (c, s), (s, -c)], dtype=complex)
+
+
 def carrier_state(label, theta):
     """Two-dimensional state vector for one of the four carriers.
 
@@ -126,14 +132,7 @@ def carrier_state(label, theta):
     stays orthonormal for every theta.
     """
     _check_theta(theta)
-    c, s = np.cos(theta), np.sin(theta)
-    table = {
-        CarrierLabel.K0: (1.0, 0.0),
-        CarrierLabel.K1: (0.0, 1.0),
-        CarrierLabel.K0P: (c, s),
-        CarrierLabel.K1P: (s, -c),
-    }
-    return StateVector(np.array(table[CarrierLabel(label)], dtype=complex))
+    return StateVector(_carrier_amps(theta)[CarrierLabel(label)])
 
 
 def attack_state(which, theta):
@@ -202,10 +201,11 @@ def born_outcome0_tables(theta):
     vectorized transmission kernel.
     """
     _check_theta(theta)
+    carriers = _carrier_amps(theta)
     table = np.empty((4, 2), dtype=np.float64)
     for label in CarrierLabel:
-        psi = carrier_state(label, theta).amps
         for basis in Basis:
-            b0, _ = basis_states(basis, theta)
-            table[label, basis] = abs(np.vdot(b0.amps, psi)) ** 2
+            # the outcome-0 states of B and B' are the K0 and K0' carriers
+            b0 = carriers[2 * basis]
+            table[label, basis] = abs(np.vdot(b0, carriers[label])) ** 2
     return table

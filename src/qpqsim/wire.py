@@ -16,13 +16,14 @@ session with an ERROR frame.
 import socket
 import struct
 import threading
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import IntEnum
 
 import numpy as np
 
 from .errors import CapacityError, ProtocolAbort, QpqError
-from .protocol import ROUND, FinalKey, Receiver, Sender, SessionReport
+from .protocol import ROUND, FinalKey, Receiver, Sender, SessionReport, check_target
 
 # re-exported, unused here: perfbench/test_bench.py checks both names
 from .protocol import draw_bases, simulate_batch  # noqa: F401
@@ -33,6 +34,21 @@ ERR_ORDER = 1
 ERR_BAD_PARAMS = 2
 ERR_DECODE = 3
 ERR_SESSION_FAILED = 4
+# local only: the peer sent nothing for SOCKET_TIMEOUT. Above the one-byte
+# codes of ERROR frames, so no peer can claim it.
+ERR_TIMEOUT = 0x100
+
+SOCKET_TIMEOUT = 30.0  # seconds a served or querying socket waits for its peer
+
+# WireServer's tally of a session that ended in a ProtocolAbort, by its code
+ABORT_OUTCOMES = {
+    None: "disconnected",
+    ERR_ORDER: "order",
+    ERR_BAD_PARAMS: "bad_params",
+    ERR_DECODE: "decode",
+    ERR_SESSION_FAILED: "session_failed",
+    ERR_TIMEOUT: "timeout",
+}
 
 _HEADER = struct.Struct(">IB")
 _U32 = struct.Struct(">I")
@@ -252,6 +268,10 @@ class FrameStream:
         while got < count:
             try:
                 chunk = self._conn.recv(count - got)
+            except TimeoutError:
+                raise ProtocolAbort(
+                    f"peer sent nothing for {self._conn.gettimeout()} s", code=ERR_TIMEOUT
+                )
             except OSError as exc:
                 raise ProtocolAbort(f"connection lost mid-frame: {exc}")
             if not chunk:
@@ -360,9 +380,8 @@ def run_bob_endpoint(config, database, conn, audit=None):
 
 def run_alice_endpoint(config, target_index, conn, audit=None):
     """Querying side of one wire session (single pass, no restart)."""
+    check_target(config, target_index)
     fs = FrameStream(conn, audit)
-    if not 0 <= target_index < config.n_items:
-        raise ProtocolAbort(f"target index {target_index} out of range")
     fs.send(_hello(config))
     alice = Receiver(config)
     while not alice.done:
@@ -435,9 +454,12 @@ def run_local_session(config, database, target_index, audit_bob=None, audit_alic
 class WireServer:
     """TCP listener hosting independent sessions, one thread each.
 
-    Each connection gets its own key (see session_config). The bound port
-    is available immediately after construction, so port 0 (OS-assigned)
-    works for tests and scripted runs.
+    Each connection gets its own key (see session_config) and a socket
+    that waits at most SOCKET_TIMEOUT for its peer. outcomes counts the
+    finished sessions: "ok", or the ABORT_OUTCOMES name of the abort, or
+    the class of another package error. The bound port is available
+    immediately after construction, so port 0 (OS-assigned) works for
+    tests and scripted runs.
     """
 
     def __init__(self, host, port, config, database, sessions=None):
@@ -445,6 +467,8 @@ class WireServer:
         self._config = config
         self._database = np.asarray(database, dtype=np.uint8)
         self._sessions = sessions
+        self._lock = threading.Lock()
+        self.outcomes = Counter()
         self.host = host
         self.port = self._srv.getsockname()[1]
 
@@ -456,6 +480,19 @@ class WireServer:
         source, channel = (int(v) for v in seq.generate_state(2, dtype=np.uint64))
         return replace(base, source_seed=source, channel_seed=channel)
 
+    def _handle(self, conn, config):
+        try:
+            run_bob_endpoint(config, self._database, conn)
+            outcome = "ok"
+        except ProtocolAbort as exc:
+            outcome = ABORT_OUTCOMES.get(exc.code, f"peer_code_{exc.code}")
+        except QpqError as exc:
+            outcome = type(exc).__name__
+        finally:
+            conn.close()
+        with self._lock:
+            self.outcomes[outcome] += 1
+
     def serve(self):
         """Accept and handle connections; returns after the session limit."""
         handled = 0
@@ -466,18 +503,10 @@ class WireServer:
                     conn, _ = self._srv.accept()
                 except OSError:
                     break  # listener closed
+                conn.settimeout(SOCKET_TIMEOUT)
                 config = self.session_config(handled)
                 handled += 1
-
-                def _handle(channel=conn, config=config):
-                    try:
-                        run_bob_endpoint(config, self._database, channel)
-                    except QpqError:
-                        pass
-                    finally:
-                        channel.close()
-
-                t = threading.Thread(target=_handle, daemon=True)
+                t = threading.Thread(target=self._handle, args=(conn, config), daemon=True)
                 t.start()
                 threads.append(t)
             for t in threads:

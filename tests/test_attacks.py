@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qpqsim import attacks, planner
+from qpqsim import attacks, planner, protocol
 from qpqsim.attacks import (
     AttackReport,
     alice_individual_usd,
@@ -85,6 +85,42 @@ def test_individual_usd_limit_reads_everything():
 def test_individual_usd_unambiguity_is_exact():
     report = alice_individual_usd(100, 0.9, 2, trials=10 ** 6, rng=np.random.default_rng(3))
     assert report.extra["wrong_identifications"] == 0
+
+
+# --- rounds ------------------------------------------------------------------------
+
+
+def _round_runs(monkeypatch, attack):
+    """attack(rng) -> report at each round size: one photon, 7, 4096, and
+    more than any call draws; also the generator's next draws after it."""
+    runs = {}
+    for size in (1, 7, 4096, 10 ** 6):
+        monkeypatch.setattr(protocol, "ROUND", size)
+        rng = np.random.default_rng(17)
+        runs[size] = (attack(rng).to_json(), rng.random(3).tobytes())
+    return runs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_individual_usd_does_not_depend_on_the_round(monkeypatch, k):
+    # 5003 trials fill no round exactly; at 7 photons a round of k = 8 is
+    # one trial, longer than the round
+    runs = _round_runs(
+        monkeypatch, lambda rng: alice_individual_usd(500, 1.2, k, trials=5003, rng=rng)
+    )
+    assert len(set(runs.values())) == 1
+    doc = json.loads(runs[1][0])
+    assert 0 < doc["estimate"] < 500  # some trials are fully known, some not
+
+
+@pytest.mark.parametrize("want", [True, False])
+def test_bob_attack_does_not_depend_on_the_round(monkeypatch, want):
+    runs = _round_runs(
+        monkeypatch, lambda rng: bob_conclusiveness_attack(0.7, want, trials=5003, rng=rng)
+    )
+    assert len(set(runs.values())) == 1
+    doc = json.loads(runs[1][0])
+    assert 0 < doc["inferred_ones"] < doc["conclusive_count"] < 5003
 
 
 # --- parity mixtures and joint bounds ----------------------------------------------

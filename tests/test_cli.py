@@ -84,16 +84,23 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:")
 
 
-def run_cli_process(args, tmp_path):
+def run_cli_process(args, tmp_path, address_space=None, timeout=60):
+    """Run the CLI in a child process; address_space caps the child's
+    RLIMIT_AS in bytes, leaving this process's limit alone."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, "-m", "qpqsim.cli", *args, "--out", str(tmp_path)],
         capture_output=True,
         text=True,
-        timeout=60,
+        preexec_fn=None if address_space is None else cap_memory,
+        timeout=timeout,
     )
 
 
 SESSION = ["--N", "64", "--k", "2", "--theta", "0.9", "--seed", "5"]
+GIB = 1 << 30
 
 
 def test_refused_connection_exits_3_without_traceback(tmp_path):
@@ -104,6 +111,18 @@ def test_refused_connection_exits_3_without_traceback(tmp_path):
     assert done.returncode == 3
     assert done.stderr.startswith("error: cannot connect")
     assert "Traceback" not in done.stderr
+
+
+def test_query_bad_item_exits_2_before_connecting(tmp_path):
+    # the refused port shows no connection is tried: that would exit 3
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        address = "127.0.0.1:%d" % closed.getsockname()[1]
+        done = run_cli_process(["query", "--address", address, *SESSION, "--item", "99"], tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: target index 99 out of range")
+    assert "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_serve_on_port_in_use_exits_3_without_traceback(tmp_path):
@@ -145,23 +164,25 @@ def test_noise_flag_is_gone(tmp_path, capsys):
 
 
 def test_t4_largest_row_runs_in_one_gib(tmp_path):
-    # memory is bounded by the photon round and the k*N key, not by N/p;
-    # the address-space cap applies to the child process only
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    done = subprocess.run(
-        [
-            sys.executable, "-m", "qpqsim.cli", "run", "--N", "1000000", "--k", "4",
-            "--theta", "0.293", "--seed", "1", "--item", "0", "--out", str(tmp_path),
-        ],
-        capture_output=True,
-        text=True,
-        preexec_fn=cap_memory,
-        timeout=120,
-    )
+    # memory is bounded by the photon round and the k*N key, not by N/p
+    args = ["run", "--N", "1000000", "--k", "4", "--theta", "0.293", "--seed", "1", "--item", "0"]
+    done = run_cli_process(args, tmp_path, address_space=GIB, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[0])["success"] is True
+
+
+def test_usd_attack_of_ten_million_trials_runs_in_one_gib(tmp_path):
+    # trials are drawn and counted one round at a time; all that grows
+    # with the trials is one truth byte per raw photon (30 MB here), where
+    # drawing them at once failed to allocate 229 MiB
+    args = ["attack", "--kind", "usd", "--theta", "0.284", "--k", "3",
+            "--N", "50000", "--trials", "10000000"]
+    done = run_cli_process(args, tmp_path, address_space=GIB, timeout=120)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout.splitlines()[0])
+    assert doc["trials"] == 10 ** 7
+    assert doc["wrong_identifications"] == 0
+    assert abs(doc["estimate"] - doc["analytic"]) <= 5 * doc["sigma"]
 
 
 def test_tables_check_passes(tmp_path, capsys):
@@ -313,6 +334,9 @@ def test_serve_and_query_subprocess_round_trip(tmp_path):
         except subprocess.TimeoutExpired:
             server.kill()
             raise
+    served = json.loads(next(tmp_path.glob("serve-*.json")).read_text())
+    assert served["sessions_handled"] == 2
+    assert served["outcomes"] == {"ok": 2}
     reports = sorted(tmp_path.glob("query-*.json"))
     assert len(reports) == 2
     for path, item in zip(reports, (33, 9)):  # hash order is not item order

@@ -1,5 +1,7 @@
 """The numpy kernels against per-element pure-Python reference loops."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,44 @@ def test_conclusiveness_trials_match_reference_loop(inputs, want):
     ref_conclusive, ref_bits = conclusiveness_loop(inputs["u3"], p0a, want)
     assert_same(conclusive, ref_conclusive, np.bool_)
     assert_same(bits, ref_bits, np.uint8)
+
+
+# --- boundaries: u on a threshold, probabilities 0 and 1, weights of +-1e-17 ---
+
+TINY = (-1e-17, 0.0, 1e-17)
+
+
+def test_usd_trials_match_reference_loop_on_boundaries():
+    # every (p_wrong, p_right) row from tiny and certain weights, each u on,
+    # just below and just above the thresholds pw and pw + pr of its truth
+    rows = [(pw, pr) for pw in TINY for pr in (*TINY, 0.3, 1.0)]
+    for (pw0, pr0), (pw1, pr1) in product(rows, repeat=2):
+        p_wrong, p_right = np.array([pw0, pw1]), np.array([pr0, pr1])
+        u, truth = [], []
+        for bit in (0, 1):
+            for edge in (p_wrong[bit], p_wrong[bit] + p_right[bit], 0.0, 1.0):
+                near = [np.nextafter(edge, -1.0), edge, np.nextafter(edge, 2.0)]
+                u += near
+                truth += [bit] * len(near)
+        u, truth = np.array(u), np.array(truth, dtype=np.uint8)
+        codes = _kernels.usd_trials(u, truth, p_wrong, p_right)
+        assert_same(codes, usd_loop(u, truth, p_wrong, p_right), np.uint8)
+
+
+@pytest.mark.parametrize("want", [True, False])
+def test_conclusiveness_trials_match_reference_loop_on_boundaries(want):
+    # coin uniforms on 0.5 and outcome uniforms on each probability, which
+    # are 0, 1 and within 1e-17 of them
+    for p0a in ([[0.0, 1.0], [1.0, 0.0]], [[1e-17, 1.0], [0.5, 0.0]]):
+        p0a = np.array(p0a)
+        rows = []
+        for coin0, coin1 in product((np.nextafter(0.5, 0.0), 0.5), repeat=2):
+            attack, basis = int(coin0 >= 0.5), int(coin1 >= 0.5)
+            edge = p0a[attack, basis]
+            for u2 in (np.nextafter(edge, -1.0), edge, np.nextafter(edge, 2.0)):
+                rows.append((coin0, coin1, u2))
+        u = np.array(rows)
+        conclusive, bits = _kernels.conclusiveness_trials(u, p0a, want)
+        ref_conclusive, ref_bits = conclusiveness_loop(u, p0a, want)
+        assert_same(conclusive, ref_conclusive, np.bool_)
+        assert_same(bits, ref_bits, np.uint8)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qpqsim import planner
 from qpqsim.errors import CapacityError, DomainError
 from qpqsim.qubits import (
     AttackLabel,
@@ -124,6 +125,28 @@ def test_born_statistics_all_label_basis_pairs():
             assert abs(freq - p) <= 4 * sigma
             b0, _ = basis_states(basis, theta)
             assert p == pytest.approx(abs(b0.overlap(psi)) ** 2, abs=1e-12)
+
+
+def per_state_born_table(theta):
+    """The Born table built from one validated StateVector per carrier and
+    per outcome-0 basis state, as the package built it before."""
+    c, s = np.cos(theta), np.sin(theta)
+    carriers = (state(1.0, 0.0), state(0.0, 1.0), state(c, s), state(s, -c))
+    outcome0 = (state(1.0, 0.0), state(c, s))
+    table = np.empty((4, 2))
+    for label, psi in enumerate(carriers):
+        for basis, b0 in enumerate(outcome0):
+            table[label, basis] = abs(np.vdot(b0.amps, psi.amps)) ** 2
+    return table
+
+
+def test_born_table_equals_per_state_construction():
+    # bit for bit, so no session key changes: the T4 angles and a fine grid
+    t4 = [planner.plan_min_k(n, planner.T4_TARGET, planner.T4_THETA_MIN).theta
+          for n in planner.T4_SIZES]
+    for theta in [*t4, *np.linspace(1e-6, math.pi / 2 - 1e-6, 2001)]:
+        got = born_outcome0_tables(theta)
+        assert got.tobytes() == per_state_born_table(theta).tobytes(), theta
 
 
 def test_density_matrix_validation():

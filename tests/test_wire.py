@@ -1,5 +1,7 @@
 import socket
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -366,8 +368,43 @@ def test_tcp_server_hosts_sessions():
         assert np.array_equal(result.final.alice_bits, final.alice_bits)
         finals.append(final.bits)
     thread.join(timeout=30)
+    assert server.outcomes == {"ok": 2}
     # a fresh key per connection: known bits cannot be pooled across queries
     assert not np.array_equal(finals[0], finals[1])
+
+
+def test_stalled_peer_frees_its_worker_within_the_timeout(monkeypatch):
+    monkeypatch.setattr(wire, "SOCKET_TIMEOUT", 0.2)
+    cfg = make_config()
+    server = wire.WireServer("127.0.0.1", 0, cfg, random_database(cfg.n_items, 9), sessions=1)
+    thread = threading.Thread(target=server.serve, daemon=True)
+    start = time.monotonic()
+    thread.start()
+    # the peer connects, sends nothing and keeps its end open
+    with socket.create_connection(("127.0.0.1", server.port)):
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert time.monotonic() - start < 5
+    assert server.outcomes == {"timeout": 1}
+
+
+def test_concurrent_sessions_are_all_counted():
+    # sixteen workers on two cores finish at once; a lost update of the
+    # shared tally would show as a count below 16
+    cfg = make_config()
+    server = wire.WireServer("127.0.0.1", 0, cfg, random_database(cfg.n_items, 9), sessions=16)
+    thread = threading.Thread(target=server.serve, daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread.start()
+        for _ in range(16):  # each peer hangs up before HELLO
+            socket.create_connection(("127.0.0.1", server.port)).close()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert server.outcomes == {"disconnected": 16}
 
 
 def test_full_duplex_loss_session_over_wire():
