@@ -178,13 +178,14 @@ def cmd_query(args):
     host, port = _parse_address(args.address)
     config = _session_config(args)
     protocol.check_target(config, args.item)
+    wire.check_config(config)
     try:
         conn = socket.create_connection((host, port), timeout=wire.SOCKET_TIMEOUT)
     except OSError as exc:
         raise ProtocolAbort(f"cannot connect to {args.address}: {exc}")
     with conn:
-        result = wire.run_alice_endpoint(config, args.item, conn)
-    _emit_doc(args, result.report.to_dict())
+        alice = wire.run_alice_endpoint(config, args.item, conn)
+    _emit_doc(args, alice.report.to_dict())
     return EXIT_OK
 
 
@@ -248,6 +249,13 @@ def build_parser():
         p.add_argument("--out", default=None, help="output directory (default ./out)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
+    def add_session(p):
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--loss", type=float, default=0.0)
+        p.add_argument("--seed", type=int, required=True)
+
     p = sub.add_parser("plan", help="solve session parameters for a target")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--nbar", type=float, required=True)
@@ -263,11 +271,7 @@ def build_parser():
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("run", help="run one in-process session and query")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--loss", type=float, default=0.0)
-    p.add_argument("--seed", type=int, required=True)
+    add_session(p)
     p.add_argument("--item", type=int, required=True)
     p.add_argument("--database", default=None, help="hex or binary database file")
     add_common(p)
@@ -275,11 +279,7 @@ def build_parser():
 
     p = sub.add_parser("serve", help="host wire sessions over TCP")
     p.add_argument("--address", required=True, help="host:port (port 0 auto-binds)")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--loss", type=float, default=0.0)
-    p.add_argument("--seed", type=int, required=True)
+    add_session(p)
     p.add_argument("--database", default=None)
     p.add_argument("--sessions", type=int, default=None)
     add_common(p)
@@ -287,11 +287,7 @@ def build_parser():
 
     p = sub.add_parser("query", help="query a serving endpoint over TCP")
     p.add_argument("--address", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--loss", type=float, default=0.0)
-    p.add_argument("--seed", type=int, required=True)
+    add_session(p)
     p.add_argument("--item", type=int, required=True)
     add_common(p)
     p.set_defaults(func=cmd_query)

@@ -99,19 +99,19 @@ class RawKey:
     """k*N retained coded bits; the sender view is ground truth, the
     receiver holds a conclusiveness mask and her decoded values."""
 
-    bits: np.ndarray        # uint8, sender truth
-    alice_mask: np.ndarray  # bool, conclusive positions
-    alice_bits: np.ndarray  # uint8, receiver values (zero where unknown)
+    bits: np.ndarray | None  # uint8, sender truth; None in the receiver's view
+    alice_mask: np.ndarray   # bool, conclusive positions
+    alice_bits: np.ndarray   # uint8, receiver values (zero where unknown)
 
     def __len__(self):
-        return self.bits.size
+        return self.alice_mask.size
 
 
 @dataclass
 class FinalKey:
     """N-bit XOR-folded key with the receiver's knowledge of it."""
 
-    bits: np.ndarray
+    bits: np.ndarray | None
     alice_mask: np.ndarray
     alice_bits: np.ndarray
 
@@ -137,7 +137,8 @@ def xor_compress(raw, substrings, n_items):
         )
     mask = np.logical_and.reduce(raw.alice_mask.reshape(substrings, n_items), axis=0)
     alice = np.where(mask, _fold(raw.alice_bits, substrings), 0).astype(np.uint8)
-    return FinalKey(bits=_fold(raw.bits, substrings), alice_mask=mask, alice_bits=alice)
+    bits = None if raw.bits is None else _fold(raw.bits, substrings)
+    return FinalKey(bits=bits, alice_mask=mask, alice_bits=alice)
 
 
 # --- session engine ----------------------------------------------------------
@@ -224,7 +225,8 @@ def sift_batch(bases, outcomes, declarations):
     """Vectorized sift: conclusive exactly when outcome != declaration;
     the inferred bit is 1 in the computational basis, 0 in the rotated one."""
     mask = outcomes != declarations
-    alice_bits = np.where(mask, (1 - bases), 0).astype(np.uint8)
+    alice_bits = 1 - bases
+    alice_bits *= mask  # zero where inconclusive
     return mask, alice_bits
 
 
@@ -249,14 +251,16 @@ class _Party:
         return min(ROUND, math.ceil(missing / (1.0 - self.config.loss_rate)))
 
     def _retain(self, received):
-        """Indices of this round's photons that join the raw key; the
-        counters stop at the last retained photon, so no round size moves them."""
+        """The slice of the k*N buffers this round fills, and the indices
+        of its photons that fill it; the counters stop at the last retained
+        photon, so no round size moves them."""
         idx = np.flatnonzero(received)[: self.config.raw_length - self.retained]
+        dest = slice(self.retained, self.retained + idx.size)
         self.retained += idx.size
         used = idx[-1] + 1 if self.done else received.size
         self.sent += int(used)
         self.received += int(np.count_nonzero(received[:used]))
-        return idx
+        return dest, idx
 
     def _report(self, **fields):
         return SessionReport(
@@ -278,8 +282,9 @@ class Sender(_Party):
         self._source = stream(config.source_seed, attempt)
         self._channel = stream(config.channel_seed, attempt)
         self._p0 = born_outcome0_tables(config.theta)
-        self._labels = []
+        self._labels = np.empty(config.raw_length, dtype=np.uint8)
         self.raw_bits = self.final_bits = self.exchange = None
+        self.conclusive_count = 0  # the receiver's, as she acknowledges it
 
     def transmit(self, bases):
         """Send one round measured in the receiver's bases; returns the
@@ -287,16 +292,17 @@ class Sender(_Party):
         labels, received, outcomes = simulate_batch(
             self._source, self._channel, bases, self.config, self._p0
         )
-        self._labels.append(labels[self._retain(received)])
+        dest, idx = self._retain(received)
+        self._labels[dest] = labels[idx]
         return received, outcomes
 
     def declaration(self):
         """The letters of the retained carriers; fixes the truth bits."""
-        labels = np.concatenate(self._labels)
-        self._labels = []
-        self.raw_bits = (labels >> 1).astype(np.uint8)
+        labels, self._labels = self._labels, None
+        self.raw_bits = labels >> 1
         self.final_bits = _fold(self.raw_bits, self.config.substrings)
-        return (labels & 1).astype(np.uint8)
+        labels &= 1  # the letters, in the buffer the labels leave
+        return labels
 
     def answer(self, database, shift):
         """Ciphertext for an announced shift s: item m is padded with key
@@ -308,10 +314,11 @@ class Sender(_Party):
         )
         return ciphertext
 
-    def report(self, conclusive_count):
+    @property
+    def report(self):
         # the known-bit count is receiver-private, unknown on this side
         return self._report(
-            conclusive_count=conclusive_count,
+            conclusive_count=self.conclusive_count,
             known_final_count=0,
             query=self.exchange,
             success=True,
@@ -321,14 +328,15 @@ class Sender(_Party):
 class Receiver(_Party):
     """Alice, the querying party: measures in random bases, sifts against
     the declaration, folds her view of the key, and queries one item.
-    Performs no I/O."""
+    Performs no I/O; her raw and final keys hold no truth bits."""
 
     def __init__(self, config, attempt=0):
         super().__init__(config, attempt)
         self._measure = stream(config.measure_seed, attempt)
         self._bases = self._pending = None
-        self._kept_bases, self._kept_outcomes = [], []
-        self.raw = self.final = self.exchange = None
+        self._kept_bases = np.empty(config.raw_length, dtype=np.uint8)
+        self._kept_outcomes = np.empty(config.raw_length, dtype=np.uint8)
+        self.raw = self.final = self.exchange = self.retrieved_bit = None
 
     def bases(self, count):
         """Basis choices for the next round of count photons."""
@@ -337,19 +345,16 @@ class Receiver(_Party):
 
     def absorb(self, received, outcomes):
         """Loss flags and outcomes of the round measured in bases()."""
-        idx = self._retain(received)
-        self._kept_bases.append(self._bases[idx])
-        self._kept_outcomes.append(outcomes[idx])
+        dest, idx = self._retain(received)
+        self._kept_bases[dest] = self._bases[idx]
+        self._kept_outcomes[dest] = outcomes[idx]
 
     def sift(self, letters):
         """Sift against the declared letters and fold; returns the
         conclusive count."""
-        bases, outcomes = np.concatenate(self._kept_bases), np.concatenate(self._kept_outcomes)
-        self._bases, self._kept_bases, self._kept_outcomes = None, [], []
-        mask, alice_bits = sift_batch(bases, outcomes, letters)
-        # she holds no truth bits, only her mask and values
-        zeros = np.zeros(mask.size, dtype=np.uint8)
-        self.raw = RawKey(bits=zeros, alice_mask=mask, alice_bits=alice_bits)
+        mask, alice_bits = sift_batch(self._kept_bases, self._kept_outcomes, letters)
+        self._bases = self._kept_bases = self._kept_outcomes = None
+        self.raw = RawKey(bits=None, alice_mask=mask, alice_bits=alice_bits)
         self.final = xor_compress(self.raw, self.config.substrings, self.config.n_items)
         return int(np.count_nonzero(mask))
 
@@ -368,10 +373,11 @@ class Receiver(_Party):
         """Decrypt the queried item from the sender's ciphertext with
         known key bit j."""
         target, j, shift = self._pending
-        bit = int(ciphertext[target] ^ self.final.alice_bits[j])
-        self.exchange = QueryExchange(target, j, shift, ciphertext, retrieved_bit=bit)
-        return bit
+        self.retrieved_bit = int(ciphertext[target] ^ self.final.alice_bits[j])
+        self.exchange = QueryExchange(target, j, shift, ciphertext, self.retrieved_bit)
+        return self.retrieved_bit
 
+    @property
     def report(self):
         known = self.final.known_count
         return self._report(
@@ -393,7 +399,7 @@ def _single_pass(config, attempt):
                 f"retained {receiver.retained}/{config.raw_length}"
             )
         receiver.absorb(*sender.transmit(receiver.bases(count)))
-    receiver.sift(sender.declaration())
+    sender.conclusive_count = receiver.sift(sender.declaration())
     return sender, receiver
 
 
@@ -418,7 +424,7 @@ def run_key_distribution(config):
     success=False rather than raising.
     """
     _, receiver, raw, final = _distribute(config)
-    return raw, final, receiver.report()
+    return raw, final, receiver.report
 
 
 def check_target(config, target_index):
@@ -442,7 +448,7 @@ def run_session(config, database, target_index):
     sender, receiver, raw, final = _distribute(config)
     if receiver.final.known_count:
         receiver.retrieve(sender.answer(database, receiver.query(target_index)))
-    return receiver.report(), raw, final
+    return receiver.report, raw, final
 
 
 # --- database files ----------------------------------------------------------

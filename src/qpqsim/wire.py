@@ -23,7 +23,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import CapacityError, ProtocolAbort, QpqError
-from .protocol import ROUND, FinalKey, Receiver, Sender, SessionReport, check_target
+from .protocol import ROUND, Receiver, Sender, check_target
 
 # re-exported, unused here: perfbench/test_bench.py checks both names
 from .protocol import draw_bases, simulate_batch  # noqa: F401
@@ -251,15 +251,11 @@ class FrameStream:
         # a closing peer usually left an ERROR frame in the buffer; surface
         # it so the caller sees the real cause instead of a broken pipe
         try:
-            header = self._read_exact(_HEADER.size)
-            length, tag = _HEADER.unpack(header)
-            if tag == MsgType.ERROR and 1 <= length <= MAX_FRAME_LENGTH:
-                err = Error.decode_payload(self._read_exact(length - 1))
-                return ProtocolAbort(
-                    f"peer error {err.code}: {err.message}", code=err.code
-                )
-        except Exception:
-            pass
+            err = self._read_frame()
+        except QpqError:
+            err = None
+        if isinstance(err, Error):
+            return ProtocolAbort(f"peer error {err.code}: {err.message}", code=err.code)
         return ProtocolAbort(f"peer disconnected: {exc}")
 
     def _read_exact(self, count):
@@ -280,18 +276,17 @@ class FrameStream:
             got += len(chunk)
         return b"".join(chunks)
 
-    def recv(self):
+    def _read_frame(self):
         header = self._read_exact(_HEADER.size)
-        length, tag = _HEADER.unpack(header)
+        (length,) = _U32.unpack_from(header)
+        # checked before the body is read, so no peer sets what this end allocates
         if length > MAX_FRAME_LENGTH:
             raise ProtocolAbort(f"oversize frame announced ({length} bytes)", code=ERR_DECODE)
-        body = self._read_exact(length - 1) if length > 1 else b""
-        cls = MESSAGE_TYPES.get(tag)
-        if cls is None:
-            self.send(Error(code=ERR_DECODE, message=f"unknown message type 0x{tag:02x}"))
-            raise ProtocolAbort(f"unknown message type 0x{tag:02x}", code=ERR_DECODE)
+        return decode_frame(header + self._read_exact(length - 1))
+
+    def recv(self):
         try:
-            msg = cls.decode_payload(body)
+            msg = self._read_frame()
         except FrameDecodeError as exc:
             self.send(Error(code=ERR_DECODE, message=str(exc)))
             raise ProtocolAbort(f"frame decode failed: {exc}", code=ERR_DECODE)
@@ -319,20 +314,6 @@ class FrameStream:
         raise ProtocolAbort(message, code=code)
 
 
-@dataclass
-class BobWireResult:
-    report: SessionReport
-    raw_bits: np.ndarray
-    final_bits: np.ndarray
-
-
-@dataclass
-class AliceWireResult:
-    report: SessionReport
-    final: FinalKey
-    retrieved_bit: int
-
-
 def _hello(config):
     return Hello(
         theta=config.theta,
@@ -342,16 +323,22 @@ def _hello(config):
     )
 
 
+def check_config(config):
+    """The session parameters must fit HELLO's fields; a query checks this
+    before its first frame and a server before it listens."""
+    try:
+        _hello(config).encode_payload()
+    except struct.error as exc:
+        raise CapacityError(f"session parameters do not fit a HELLO frame: {exc}") from None
+
+
 def run_bob_endpoint(config, database, conn, audit=None):
-    """Database-holder side of one wire session (single pass, no restart)."""
+    """Database-holder side of one wire session (single pass, no restart);
+    returns the Sender."""
     fs = FrameStream(conn, audit)
     database = np.asarray(database, dtype=np.uint8)
-    hello = fs.expect(Hello)
-    if not 0.0 < hello.theta < np.pi / 2:
-        fs.fail(ERR_BAD_PARAMS, f"theta out of range: {hello.theta}")
-    if hello.n_items < 1 or hello.substrings < 1 or not 0.0 <= hello.loss_rate < 1.0:
-        fs.fail(ERR_BAD_PARAMS, "invalid session parameters")
-    if hello != _hello(config):
+    # his own config is validated, so this rejects every invalid HELLO too
+    if fs.expect(Hello) != _hello(config):
         fs.fail(ERR_BAD_PARAMS, "session parameters do not match this endpoint")
     if database.size != config.n_items:
         fs.fail(ERR_BAD_PARAMS, "database size does not match session parameters")
@@ -368,19 +355,17 @@ def run_bob_endpoint(config, database, conn, audit=None):
         fs.send(OutcomeBatch(received=received, outcomes=outcomes))
 
     fs.send(Declaration(letters=bob.declaration()))
-    ack = fs.expect(SiftAck)
+    bob.conclusive_count = fs.expect(SiftAck).conclusive_count
     ciphertext = bob.answer(database, fs.expect(Shift).shift)
     fs.send(Ciphertext(bits=ciphertext))
-    return BobWireResult(
-        report=bob.report(ack.conclusive_count),
-        raw_bits=bob.raw_bits,
-        final_bits=bob.final_bits,
-    )
+    return bob
 
 
 def run_alice_endpoint(config, target_index, conn, audit=None):
-    """Querying side of one wire session (single pass, no restart)."""
+    """Querying side of one wire session (single pass, no restart);
+    returns the Receiver."""
     check_target(config, target_index)
+    check_config(config)
     fs = FrameStream(conn, audit)
     fs.send(_hello(config))
     alice = Receiver(config)
@@ -404,8 +389,8 @@ def run_alice_endpoint(config, target_index, conn, audit=None):
     ct = fs.expect(Ciphertext)
     if ct.bits.size != config.n_items:
         fs.fail(ERR_BAD_PARAMS, "ciphertext length does not match database size")
-    retrieved = alice.retrieve(ct.bits)
-    return AliceWireResult(report=alice.report(), final=alice.final, retrieved_bit=retrieved)
+    alice.retrieve(ct.bits)
+    return alice
 
 
 def public_report_fields(report):
@@ -424,7 +409,8 @@ def public_report_fields(report):
 
 
 def run_local_session(config, database, target_index, audit_bob=None, audit_alice=None):
-    """Run both endpoints over an in-memory socket pair (two threads)."""
+    """Run both endpoints over an in-memory socket pair (two threads);
+    returns their (Sender, Receiver)."""
     left, right = socket.socketpair()
     results = {}
     errors = {}
@@ -463,6 +449,7 @@ class WireServer:
     """
 
     def __init__(self, host, port, config, database, sessions=None):
+        check_config(config)  # no client could match a config HELLO cannot carry
         self._srv = socket.create_server((host, port))
         self._config = config
         self._database = np.asarray(database, dtype=np.uint8)

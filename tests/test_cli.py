@@ -125,6 +125,23 @@ def test_query_bad_item_exits_2_before_connecting(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["query", "--item", "0"], ["serve"]])
+def test_k_beyond_hello_field_exits_2_before_connecting(tmp_path, command):
+    # run handles k = 70000 at N = 1, but HELLO carries k in 16 bits; this
+    # used to end in a struct.error traceback. The refused port shows that
+    # query tries no connection and serve does not listen (port in use: 3).
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        address = "127.0.0.1:%d" % closed.getsockname()[1]
+        args = [command[0], "--address", address, "--N", "1", "--k", "70000",
+                "--theta", "0.9", "--seed", "1", *command[1:]]
+        done = run_cli_process(args, tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: session parameters do not fit a HELLO frame")
+    assert "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_serve_on_port_in_use_exits_3_without_traceback(tmp_path):
     with socket.create_server(("127.0.0.1", 0)) as busy:
         address = "127.0.0.1:%d" % busy.getsockname()[1]

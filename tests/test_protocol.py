@@ -174,6 +174,14 @@ def test_raw_key_receiver_agreement_noiseless():
     assert np.all(raw.alice_bits[raw.alice_mask] == raw.bits[raw.alice_mask])
     assert np.all(final.alice_bits[final.alice_mask] == final.bits[final.alice_mask])
     assert report.known_final_count == final.known_count
+    # each party holds only its own view; the returned keys join the two
+    sender, receiver = protocol._single_pass(cfg, report.restarted)
+    assert receiver.raw.bits is None and receiver.final.bits is None
+    assert np.array_equal(receiver.raw.alice_mask, raw.alice_mask)
+    assert np.array_equal(receiver.final.alice_bits, final.alice_bits)
+    assert np.array_equal(sender.raw_bits, raw.bits)
+    assert np.array_equal(sender.final_bits, final.bits)
+    assert sender.report.conclusive_count == report.conclusive_count
 
 
 def test_session_restarts_and_failure():

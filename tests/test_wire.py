@@ -140,8 +140,12 @@ def test_wire_matches_in_process_engine():
         report, raw, final = run_session(cfg, database, item)
         assert report.success and report.restarted == 0
         bob_res, alice_res = run_local_session(cfg, database, item)
+        # the endpoints return the parties, each holding only its own view
+        assert isinstance(bob_res, protocol.Sender)
+        assert isinstance(alice_res, protocol.Receiver)
         assert np.array_equal(bob_res.raw_bits, raw.bits)
         assert np.array_equal(bob_res.final_bits, final.bits)
+        assert alice_res.raw.bits is None and alice_res.final.bits is None
         assert np.array_equal(alice_res.final.alice_mask, final.alice_mask)
         assert np.array_equal(alice_res.final.alice_bits, final.alice_bits)
         assert alice_res.retrieved_bit == report.query.retrieved_bit == database[item]
@@ -265,6 +269,39 @@ def _bob_reply(cfg, *frames):
 
 
 @pytest.mark.parametrize(
+    "frame",
+    [
+        bytes.fromhex("00000001" "55"),
+        bytes.fromhex("00000004" "06" "000003"),
+        bytes.fromhex("00000000" "06"),
+    ],
+    ids=["unknown-tag", "short-sift-ack", "zero-length"],
+)
+def test_undecodable_frame_aborts_with_decode_error(frame):
+    cfg = make_config()
+    left, right = socket.socketpair()
+    bob_error = {}
+
+    def bob():
+        try:
+            run_bob_endpoint(cfg, random_database(cfg.n_items, 1), left)
+        except ProtocolAbort as exc:
+            bob_error["exc"] = exc
+        finally:
+            left.close()
+
+    thread = threading.Thread(target=bob)
+    thread.start()
+    right.sendall(encode_frame(wire._hello(cfg)) + frame)
+    msg = wire.FrameStream(right).recv()
+    right.close()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert isinstance(msg, Error) and msg.code == wire.ERR_DECODE
+    assert bob_error["exc"].code == wire.ERR_DECODE
+
+
+@pytest.mark.parametrize(
     "frames",
     [
         (PhotonBatchReq(count=0),),
@@ -300,6 +337,18 @@ def test_parameter_mismatch_rejected():
     right.close()
     thread.join()
     assert err.value.code == wire.ERR_BAD_PARAMS
+
+
+def test_alice_checks_hello_fields_before_her_first_frame():
+    # SessionConfig takes any k >= 1, but HELLO carries k in 16 bits
+    cfg = SessionConfig(n_items=1, substrings=70000, theta=0.9)
+    left, right = socket.socketpair()
+    with left, right:
+        with pytest.raises(CapacityError):
+            run_alice_endpoint(cfg, 0, right)
+        left.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            left.recv(1)
 
 
 def test_local_abort_message_does_not_depend_on_thread_order():
