@@ -33,7 +33,6 @@ from .qubits import (
     attack_state,
     carrier_state,
     fidelity,
-    tensor,
     trace_distance,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "sift",
     "solve_theta",
     "table_generator",
-    "tensor",
     "trace_distance",
     "xor_compress",
     "__version__",

@@ -14,7 +14,7 @@ conclusiveness, at the price of losing the bit value entirely.
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -152,15 +152,8 @@ class AttackReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self):
-        doc = {
-            "kind": self.kind,
-            "analytic": self.analytic,
-            "estimate": self.estimate,
-            "sigma": self.sigma,
-            "trials": self.trials,
-            "params": self.params,
-        }
-        doc.update(self.extra)
+        doc = asdict(self)
+        doc.update(doc.pop("extra"))
         return doc
 
     def to_json(self):

@@ -9,7 +9,7 @@ parameter tables and the flexibility figure series.
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,14 +76,7 @@ class PlanResult:
     restart_probability: float
 
     def to_dict(self):
-        return {
-            "n_items": self.n_items,
-            "substrings": self.substrings,
-            "theta": self.theta,
-            "conclusive_p": self.conclusive_p,
-            "expected_known": self.expected_known,
-            "restart_probability": self.restart_probability,
-        }
+        return asdict(self)
 
 
 def plan_for(n_items, substrings, theta):

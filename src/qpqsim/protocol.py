@@ -246,9 +246,16 @@ class _Party:
 
     def next_round(self):
         """Photons to request next: enough to complete the key in
-        expectation, at most ROUND."""
+        expectation, at most ROUND. Raises ResourceError when they would
+        take the attempt past PHOTON_CAP."""
         missing = self.config.raw_length - self.retained
-        return min(ROUND, math.ceil(missing / (1.0 - self.config.loss_rate)))
+        count = min(ROUND, math.ceil(missing / (1.0 - self.config.loss_rate)))
+        if self.sent + count > PHOTON_CAP:
+            raise ResourceError(
+                f"photon budget exhausted: cap {PHOTON_CAP}, "
+                f"retained {self.retained}/{self.config.raw_length}"
+            )
+        return count
 
     def _retain(self, received):
         """The slice of the k*N buffers this round fills, and the indices
@@ -393,11 +400,6 @@ def _single_pass(config, attempt):
     sender, receiver = Sender(config, attempt), Receiver(config, attempt)
     while not receiver.done:
         count = receiver.next_round()
-        if receiver.sent + count > PHOTON_CAP:
-            raise ResourceError(
-                f"photon budget exhausted: cap {PHOTON_CAP}, "
-                f"retained {receiver.retained}/{config.raw_length}"
-            )
         receiver.absorb(*sender.transmit(receiver.bases(count)))
     sender.conclusive_count = receiver.sift(sender.declaration())
     return sender, receiver

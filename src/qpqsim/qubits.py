@@ -1,9 +1,9 @@
 """Exact finite-dimensional quantum state kernel.
 
-Carrier and attack state construction, Born-rule outcome tables,
-tensor products, and the fidelity / trace-distance metrics used by the
-attack bounds. All amplitudes are complex double precision; the states
-handled here happen to be real-valued.
+Carrier and attack state construction, Born-rule outcome tables, and
+the fidelity / trace-distance metrics used by the attack bounds. All
+amplitudes are complex double precision; the states handled here happen
+to be real-valued.
 """
 
 from enum import IntEnum
@@ -155,16 +155,6 @@ def basis_states(basis, theta):
         carrier_state(CarrierLabel.K0P, theta),
         carrier_state(CarrierLabel.K1P, theta),
     )
-
-
-def tensor(states):
-    """Kronecker product of the given factors, in order."""
-    if not states:
-        raise DomainError("tensor of zero factors is undefined")
-    amps = states[0].amps
-    for s in states[1:]:
-        amps = np.kron(amps, s.amps)
-    return StateVector(amps)
 
 
 def fidelity(rho, sigma):

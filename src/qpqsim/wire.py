@@ -13,10 +13,12 @@ SHIFT and CIPHERTEXT. Any out-of-order or malformed frame aborts the
 session with an ERROR frame.
 """
 
+import os
 import socket
 import struct
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 from enum import IntEnum
 
@@ -39,6 +41,9 @@ ERR_SESSION_FAILED = 4
 ERR_TIMEOUT = 0x100
 
 SOCKET_TIMEOUT = 30.0  # seconds a served or querying socket waits for its peer
+SERVER_WORKERS = 8  # sessions a WireServer runs at once; later ones queue
+# seconds serve waits after its last accept; sessions still open then are cut off
+SERVER_LINGER = 60.0
 
 # WireServer's tally of a session that ended in a ProtocolAbort, by its code
 ABORT_OUTCOMES = {
@@ -408,42 +413,50 @@ def public_report_fields(report):
     return doc
 
 
+def _start_local_worker():
+    global _local_worker
+    _local_worker = ThreadPoolExecutor(1, thread_name_prefix="wire-local-bob")
+
+
+# Bob of every run_local_session runs on this one long-lived thread. A
+# forked child inherits the executor but not its thread, so it starts its own.
+_start_local_worker()
+os.register_at_fork(after_in_child=_start_local_worker)
+
+
+def _local_bob(config, database, conn, audit):
+    with conn:  # closed when he ends, so an Alice still reading sees it
+        return run_bob_endpoint(config, database, conn, audit=audit)
+
+
 def run_local_session(config, database, target_index, audit_bob=None, audit_alice=None):
-    """Run both endpoints over an in-memory socket pair (two threads);
-    returns their (Sender, Receiver)."""
+    """Run both endpoints over an in-memory socket pair, Bob on the local
+    worker thread; returns their (Sender, Receiver)."""
     left, right = socket.socketpair()
-    results = {}
+    pending = _local_worker.submit(_local_bob, config, database, left, audit_bob)
     errors = {}
-
-    def bob():
+    with right:  # closed before Bob's result is read, so he cannot wait on her
         try:
-            results["bob"] = run_bob_endpoint(config, database, left, audit=audit_bob)
+            alice = run_alice_endpoint(config, target_index, right, audit=audit_alice)
         except QpqError as exc:
-            errors["bob"] = exc
-        finally:
-            left.close()
-
-    thread = threading.Thread(target=bob, daemon=True)
-    thread.start()
+            errors["alice"] = exc
     try:
-        results["alice"] = run_alice_endpoint(config, target_index, right, audit=audit_alice)
+        bob = pending.result()
     except QpqError as exc:
-        errors["alice"] = exc
-    finally:
-        right.close()
-        thread.join(timeout=30)
-    if errors:  # sorted, so Alice's error leads whichever thread failed first
+        errors["bob"] = exc
+    if errors:  # sorted, so Alice's error leads whichever side failed first
         raise ProtocolAbort(f"local session failed: {dict(sorted(errors.items()))}")
-    return results["bob"], results["alice"]
+    return bob, alice
 
 
 class WireServer:
-    """TCP listener hosting independent sessions, one thread each.
+    """TCP listener hosting independent sessions on SERVER_WORKERS threads.
 
     Each connection gets its own key (see session_config) and a socket
-    that waits at most SOCKET_TIMEOUT for its peer. outcomes counts the
-    finished sessions: "ok", or the ABORT_OUTCOMES name of the abort, or
-    the class of another package error. The bound port is available
+    that waits at most SOCKET_TIMEOUT for its peer. outcomes counts every
+    accepted session: "ok", or the ABORT_OUTCOMES name of the abort, or
+    the class of any other exception; a session cut off after
+    SERVER_LINGER counts as "disconnected". The bound port is available
     immediately after construction, so port 0 (OS-assigned) works for
     tests and scripted runs.
     """
@@ -473,7 +486,7 @@ class WireServer:
             outcome = "ok"
         except ProtocolAbort as exc:
             outcome = ABORT_OUTCOMES.get(exc.code, f"peer_code_{exc.code}")
-        except QpqError as exc:
+        except Exception as exc:  # counted too: the pool would only keep it in a future
             outcome = type(exc).__name__
         finally:
             conn.close()
@@ -481,9 +494,12 @@ class WireServer:
             self.outcomes[outcome] += 1
 
     def serve(self):
-        """Accept and handle connections; returns after the session limit."""
+        """Accept and handle connections; returns the number accepted once
+        the session limit is reached and every accepted session has an
+        outcome."""
         handled = 0
-        threads = []
+        sessions = {}  # future -> the connection it serves
+        pool = ThreadPoolExecutor(SERVER_WORKERS, thread_name_prefix="wire-server")
         try:
             while self._sessions is None or handled < self._sessions:
                 try:
@@ -493,13 +509,18 @@ class WireServer:
                 conn.settimeout(SOCKET_TIMEOUT)
                 config = self.session_config(handled)
                 handled += 1
-                t = threading.Thread(target=self._handle, args=(conn, config), daemon=True)
-                t.start()
-                threads.append(t)
-            for t in threads:
-                t.join(timeout=60)
+                sessions[pool.submit(self._handle, conn, config)] = conn
+            wait(sessions, timeout=SERVER_LINGER)
         finally:
             self.close()
+            for future, conn in sessions.items():
+                if not future.done():
+                    # a peer that drips bytes never times out: end its session
+                    try:
+                        conn.shutdown(socket.SHUT_RDWR)
+                    except OSError:
+                        pass  # it closed meanwhile
+            pool.shutdown()
         return handled
 
     def close(self):

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from qpqsim import planner, protocol
+from qpqsim import planner, protocol, wire
 from qpqsim.errors import (
     DomainError,
     EmptyKeyMaskError,
+    ProtocolAbort,
     ResourceError,
 )
 from qpqsim.protocol import (
@@ -217,16 +218,17 @@ def test_keys_and_report_do_not_depend_on_round_size(monkeypatch):
         assert report.to_dict() == first_report.to_dict()
 
 
-def test_photon_budget_cap():
-    cfg = make_config(n_items=1, substrings=1, theta=0.02, loss_rate=0.0)
-    # monkey-style: shrink the cap by running an impossible supply
-    old = protocol.PHOTON_CAP
-    protocol.PHOTON_CAP = 16
-    try:
-        with pytest.raises(ResourceError):
-            protocol._single_pass(make_config(n_items=64), 0)
-    finally:
-        protocol.PHOTON_CAP = old
+def test_photon_budget_cap(monkeypatch):
+    # both modes ask Receiver.next_round for each round, so both stop at
+    # the cap with one message
+    monkeypatch.setattr(protocol, "PHOTON_CAP", 10 ** 4)
+    cfg = make_config(n_items=1000, substrings=2, loss_rate=0.9)
+    database = random_database(cfg.n_items, 5)
+    message = "photon budget exhausted: cap 10000, retained 0/2000"
+    with pytest.raises(ResourceError, match=message):
+        run_session(cfg, database, 7)
+    with pytest.raises(ProtocolAbort, match=f"'alice': ResourceError\\('{message}'\\)"):
+        wire.run_local_session(cfg, database, 7)
 
 
 # --- query -----------------------------------------------------------------------

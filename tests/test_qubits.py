@@ -16,7 +16,6 @@ from qpqsim.qubits import (
     born_outcome0_tables,
     carrier_state,
     fidelity,
-    tensor,
     trace_distance,
 )
 
@@ -90,23 +89,6 @@ def test_statevector_validation():
         state(1.0, 1.0)  # not normalized
     with pytest.raises(DomainError):
         StateVector(np.array([1.0, 0.0, 0.0], dtype=complex))  # dim 3
-
-
-def test_tensor_products():
-    zero = state(1, 0)
-    one = state(0, 1)
-    assert tensor([zero, zero]).amps == pytest.approx([1, 0, 0, 0])
-    assert tensor([zero, one]).amps == pytest.approx([0, 1, 0, 0])
-    plus = carrier_state(CarrierLabel.K0P, math.pi / 4)
-    assert tensor([plus, plus]).amps == pytest.approx([0.5, 0.5, 0.5, 0.5])
-    with pytest.raises(DomainError):
-        tensor([])
-
-
-def test_tensor_preserves_normalization_on_grid():
-    for theta in THETA_GRID[::7]:
-        psi = tensor([carrier_state(CarrierLabel.K0P, theta)] * 3)
-        assert abs(np.sum(np.abs(psi.amps) ** 2) - 1.0) <= 1e-12
 
 
 def test_born_statistics_all_label_basis_pairs():

@@ -1,3 +1,5 @@
+import os
+import signal
 import socket
 import sys
 import threading
@@ -365,6 +367,39 @@ def test_local_abort_message_does_not_depend_on_thread_order():
     assert "'bob': " in message
 
 
+def test_local_sessions_reuse_one_bob_thread():
+    cfg = make_config()
+    database = random_database(cfg.n_items, 7)
+    threads = set()
+    for item in range(5):
+        _, alice = run_local_session(
+            cfg, database, item,
+            audit_bob=lambda direction, msg: threads.add(threading.current_thread()),
+        )
+        assert alice.retrieved_bit == database[item]
+    (thread,) = threads
+    assert thread is not threading.main_thread()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_local_sessions():
+    # the child inherits the local worker's executor but not its thread
+    cfg = make_config()
+    database = random_database(cfg.n_items, 7)
+    run_local_session(cfg, database, 13)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(10)  # a hung session kills the child
+            _, alice = run_local_session(cfg, database, 13)
+            code = 0 if alice.retrieved_bit == database[13] else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
 def test_privacy_hygiene_of_frames():
     # sender never transmits labels or coded bits; receiver reveals only
     # counts and the shift (never the target index or mask positions)
@@ -399,12 +434,19 @@ def test_privacy_hygiene_of_frames():
     assert np.array_equal((np.asarray(decls[0].letters) >> 1), np.zeros(cfg.raw_length))
 
 
+def serve_in_thread(server):
+    """Start server.serve on a thread; the returned list receives its count."""
+    handled = []
+    thread = threading.Thread(target=lambda: handled.append(server.serve()), daemon=True)
+    thread.start()
+    return thread, handled
+
+
 def test_tcp_server_hosts_sessions():
     cfg = make_config()
     database = random_database(cfg.n_items, 9)
     server = wire.WireServer("127.0.0.1", 0, cfg, database, sessions=2)
-    thread = threading.Thread(target=server.serve, daemon=True)
-    thread.start()
+    thread, handled = serve_in_thread(server)
     finals = []
     for index, item in enumerate((5, 40)):
         with socket.create_connection(("127.0.0.1", server.port)) as conn:
@@ -417,6 +459,7 @@ def test_tcp_server_hosts_sessions():
         assert np.array_equal(result.final.alice_bits, final.alice_bits)
         finals.append(final.bits)
     thread.join(timeout=30)
+    assert handled == [2]
     assert server.outcomes == {"ok": 2}
     # a fresh key per connection: known bits cannot be pooled across queries
     assert not np.array_equal(finals[0], finals[1])
@@ -426,33 +469,111 @@ def test_stalled_peer_frees_its_worker_within_the_timeout(monkeypatch):
     monkeypatch.setattr(wire, "SOCKET_TIMEOUT", 0.2)
     cfg = make_config()
     server = wire.WireServer("127.0.0.1", 0, cfg, random_database(cfg.n_items, 9), sessions=1)
-    thread = threading.Thread(target=server.serve, daemon=True)
     start = time.monotonic()
-    thread.start()
+    thread, handled = serve_in_thread(server)
     # the peer connects, sends nothing and keeps its end open
     with socket.create_connection(("127.0.0.1", server.port)):
         thread.join(timeout=10)
         assert not thread.is_alive()
     assert time.monotonic() - start < 5
+    assert handled == [1]
     assert server.outcomes == {"timeout": 1}
 
 
+def test_drip_feeding_peer_is_cut_off_after_the_linger(monkeypatch):
+    # one byte per 0.2 s never trips SOCKET_TIMEOUT, and HELLO takes 5.4 s
+    monkeypatch.setattr(wire, "SERVER_LINGER", 0.5)
+    cfg = make_config()
+    server = wire.WireServer("127.0.0.1", 0, cfg, random_database(cfg.n_items, 9), sessions=1)
+    start = time.monotonic()
+    thread, handled = serve_in_thread(server)
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        try:
+            for byte in encode_frame(wire._hello(cfg)):
+                if not thread.is_alive():
+                    break
+                conn.sendall(bytes([byte]))
+                time.sleep(0.2)
+        except OSError:
+            pass  # the server shut the connection down
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert time.monotonic() - start < 5
+    assert handled == [1]
+    assert server.outcomes == {"disconnected": 1}
+
+
+def test_server_runs_at_most_server_workers_sessions_at_once(monkeypatch):
+    monkeypatch.setattr(wire, "SERVER_WORKERS", 2)
+    lock = threading.Lock()
+    running, peak = [0], [0]
+    endpoint = wire.run_bob_endpoint
+
+    def counted_endpoint(*args, **kwargs):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        try:
+            time.sleep(0.1)  # keeps each session open while the others connect
+            return endpoint(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(wire, "run_bob_endpoint", counted_endpoint)
+    cfg = make_config()
+    database = random_database(cfg.n_items, 9)
+    server = wire.WireServer("127.0.0.1", 0, cfg, database, sessions=5)
+    thread, handled = serve_in_thread(server)
+    retrieved = {}
+
+    def client(item):
+        with socket.create_connection(("127.0.0.1", server.port)) as conn:
+            retrieved[item] = run_alice_endpoint(cfg, item, conn).retrieved_bit
+
+    clients = [threading.Thread(target=client, args=(item,), daemon=True) for item in range(5)]
+    for c in clients:
+        c.start()
+    for c in clients:
+        c.join(timeout=30)
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert peak[0] == 2
+    assert retrieved == {item: database[item] for item in range(5)}
+    assert handled == [5]
+    assert server.outcomes == {"ok": 5}
+
+
+def test_session_failing_with_any_exception_is_counted(monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("session buffers")
+
+    monkeypatch.setattr(wire, "run_bob_endpoint", out_of_memory)
+    cfg = make_config()
+    server = wire.WireServer("127.0.0.1", 0, cfg, random_database(cfg.n_items, 9), sessions=1)
+    thread, handled = serve_in_thread(server)
+    socket.create_connection(("127.0.0.1", server.port)).close()
+    thread.join(timeout=30)
+    assert handled == [1]
+    assert server.outcomes == {"MemoryError": 1}
+
+
 def test_concurrent_sessions_are_all_counted():
-    # sixteen workers on two cores finish at once; a lost update of the
-    # shared tally would show as a count below 16
+    # sixteen sessions on SERVER_WORKERS threads finish close together; a
+    # lost update of the shared tally would show as a count below 16
     cfg = make_config()
     server = wire.WireServer("127.0.0.1", 0, cfg, random_database(cfg.n_items, 9), sessions=16)
-    thread = threading.Thread(target=server.serve, daemon=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        thread.start()
+        thread, handled = serve_in_thread(server)
         for _ in range(16):  # each peer hangs up before HELLO
             socket.create_connection(("127.0.0.1", server.port)).close()
         thread.join(timeout=30)
         assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
+    assert handled == [16]
     assert server.outcomes == {"disconnected": 16}
 
 
