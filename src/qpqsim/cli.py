@@ -46,6 +46,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def derive_seeds(seed):
     """Three independent 64-bit stream seeds from one CLI seed."""
     state = np.random.SeedSequence(seed).generate_state(3, dtype=np.uint64)
@@ -144,8 +151,10 @@ def cmd_run(args):
 
 def _parse_address(text):
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not port.isdecimal():
         raise DomainError(f"address must be host:port, got {text!r}")
+    if int(port) > 65535:
+        raise DomainError(f"port must be in 0..65535, got {port}")
     return host, int(port)
 
 
@@ -225,10 +234,12 @@ def cmd_attack(args):
 
 
 def cmd_figures(args):
+    if args.N is not None and args.N < 1:
+        raise DomainError(f"--N must be at least 1, got {args.N}")
     if args.which == "F1":
         doc = planner.flexibility_series(target_known=args.nbar)
     elif args.which == "F2":
-        doc = planner.tradeoff_series(n_items=args.N or 10 ** 4)
+        doc = planner.tradeoff_series(n_items=10 ** 4 if args.N is None else args.N)
     else:
         doc = attacks.fig_data(args.which, n_items=args.N)
     if args.format == "csv":
@@ -254,7 +265,7 @@ def build_parser():
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--theta", type=float, required=True)
         p.add_argument("--loss", type=float, default=0.0)
-        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--seed", type=non_negative_int, required=True)
 
     p = sub.add_parser("plan", help="solve session parameters for a target")
     p.add_argument("--N", type=int, required=True)
@@ -299,7 +310,7 @@ def build_parser():
     p.add_argument("--N", type=int, default=50000)
     p.add_argument("--trials", type=int, default=10 ** 6)
     p.add_argument("--want", choices=("conclusive", "inconclusive"), default="conclusive")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     add_common(p)
     p.set_defaults(func=cmd_attack)
 

@@ -16,9 +16,9 @@ session with an ERROR frame.
 import os
 import socket
 import struct
-import threading
+import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import IntEnum
 
@@ -36,14 +36,12 @@ ERR_ORDER = 1
 ERR_BAD_PARAMS = 2
 ERR_DECODE = 3
 ERR_SESSION_FAILED = 4
-# local only: the peer sent nothing for SOCKET_TIMEOUT. Above the one-byte
+# local only: the session outlasted its socket's timeout. Above the one-byte
 # codes of ERROR frames, so no peer can claim it.
 ERR_TIMEOUT = 0x100
 
-SOCKET_TIMEOUT = 30.0  # seconds a served or querying socket waits for its peer
+SOCKET_TIMEOUT = 60.0  # seconds a served or querying session may take in all
 SERVER_WORKERS = 8  # sessions a WireServer runs at once; later ones queue
-# seconds serve waits after its last accept; sessions still open then are cut off
-SERVER_LINGER = 60.0
 
 # WireServer's tally of a session that ended in a ProtocolAbort, by its code
 ABORT_OUTCOMES = {
@@ -236,19 +234,36 @@ def decode_frame(data):
 class FrameStream:
     """Blocking framed message transport over a connected byte stream.
 
-    The optional audit hook is called as audit(direction, msg) with
-    direction "send" or "recv" for every frame this endpoint handles.
+    A timeout on the socket is the budget of the whole session, not of
+    each call: every send and read waits only for what is left of it. The
+    optional audit hook is called as audit(direction, msg) with direction
+    "send" or "recv" for every frame this endpoint handles.
     """
 
     def __init__(self, conn, audit=None):
         self._conn = conn
         self._audit = audit
+        self._budget = conn.gettimeout()
+        self._deadline = None if self._budget is None else time.monotonic() + self._budget
+
+    def _timed_out(self):
+        return ProtocolAbort(f"session exceeded its {self._budget} s budget", code=ERR_TIMEOUT)
+
+    def _arm(self):
+        if self._deadline is not None:
+            left = self._deadline - time.monotonic()
+            if left <= 0:
+                raise self._timed_out()
+            self._conn.settimeout(left)
 
     def send(self, msg):
         if self._audit is not None:
             self._audit("send", msg)
+        self._arm()
         try:
             self._conn.sendall(encode_frame(msg))
+        except TimeoutError:
+            raise self._timed_out()
         except OSError as exc:
             raise self._disconnected(exc)
 
@@ -267,12 +282,11 @@ class FrameStream:
         chunks = []
         got = 0
         while got < count:
+            self._arm()
             try:
                 chunk = self._conn.recv(count - got)
             except TimeoutError:
-                raise ProtocolAbort(
-                    f"peer sent nothing for {self._conn.gettimeout()} s", code=ERR_TIMEOUT
-                )
+                raise self._timed_out()
             except OSError as exc:
                 raise ProtocolAbort(f"connection lost mid-frame: {exc}")
             if not chunk:
@@ -299,19 +313,14 @@ class FrameStream:
             self._audit("recv", msg)
         return msg
 
-    def expect(self, *allowed):
+    def expect(self, cls):
         msg = self.recv()
         if isinstance(msg, Error):
             raise ProtocolAbort(f"peer error {msg.code}: {msg.message}", code=msg.code)
-        if not isinstance(msg, allowed):
-            names = "/".join(c.__name__ for c in allowed)
-            self.send(
-                Error(code=ERR_ORDER, message=f"expected {names}, got {type(msg).__name__}")
-            )
-            raise ProtocolAbort(
-                f"phase violation: expected {names}, got {type(msg).__name__}",
-                code=ERR_ORDER,
-            )
+        if not isinstance(msg, cls):
+            violation = f"expected {cls.__name__}, got {type(msg).__name__}"
+            self.send(Error(code=ERR_ORDER, message=violation))
+            raise ProtocolAbort(f"phase violation: {violation}", code=ERR_ORDER)
         return msg
 
     def fail(self, code, message):
@@ -453,10 +462,9 @@ class WireServer:
     """TCP listener hosting independent sessions on SERVER_WORKERS threads.
 
     Each connection gets its own key (see session_config) and a socket
-    that waits at most SOCKET_TIMEOUT for its peer. outcomes counts every
+    whose SOCKET_TIMEOUT bounds its whole session. outcomes counts every
     accepted session: "ok", or the ABORT_OUTCOMES name of the abort, or
-    the class of any other exception; a session cut off after
-    SERVER_LINGER counts as "disconnected". The bound port is available
+    the class of any other exception. The bound port is available
     immediately after construction, so port 0 (OS-assigned) works for
     tests and scripted runs.
     """
@@ -467,7 +475,6 @@ class WireServer:
         self._config = config
         self._database = np.asarray(database, dtype=np.uint8)
         self._sessions = sessions
-        self._lock = threading.Lock()
         self.outcomes = Counter()
         self.host = host
         self.port = self._srv.getsockname()[1]
@@ -481,47 +488,33 @@ class WireServer:
         return replace(base, source_seed=source, channel_seed=channel)
 
     def _handle(self, conn, config):
-        try:
-            run_bob_endpoint(config, self._database, conn)
-            outcome = "ok"
-        except ProtocolAbort as exc:
-            outcome = ABORT_OUTCOMES.get(exc.code, f"peer_code_{exc.code}")
-        except Exception as exc:  # counted too: the pool would only keep it in a future
-            outcome = type(exc).__name__
-        finally:
-            conn.close()
-        with self._lock:
-            self.outcomes[outcome] += 1
+        with conn:
+            try:
+                run_bob_endpoint(config, self._database, conn)
+                return "ok"
+            except ProtocolAbort as exc:
+                return ABORT_OUTCOMES.get(exc.code, f"peer_code_{exc.code}")
+            except Exception as exc:  # counted too: the pool would only keep it in a future
+                return type(exc).__name__
 
     def serve(self):
         """Accept and handle connections; returns the number accepted once
         the session limit is reached and every accepted session has an
         outcome."""
-        handled = 0
-        sessions = {}  # future -> the connection it serves
+        sessions = []
         pool = ThreadPoolExecutor(SERVER_WORKERS, thread_name_prefix="wire-server")
-        try:
-            while self._sessions is None or handled < self._sessions:
+        # the listener closes first, so no peer waits in its backlog while the pool drains
+        with pool, self._srv:
+            while self._sessions is None or len(sessions) < self._sessions:
                 try:
                     conn, _ = self._srv.accept()
                 except OSError:
                     break  # listener closed
                 conn.settimeout(SOCKET_TIMEOUT)
-                config = self.session_config(handled)
-                handled += 1
-                sessions[pool.submit(self._handle, conn, config)] = conn
-            wait(sessions, timeout=SERVER_LINGER)
-        finally:
-            self.close()
-            for future, conn in sessions.items():
-                if not future.done():
-                    # a peer that drips bytes never times out: end its session
-                    try:
-                        conn.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass  # it closed meanwhile
-            pool.shutdown()
-        return handled
+                config = self.session_config(len(sessions))
+                sessions.append(pool.submit(self._handle, conn, config))
+        self.outcomes.update(future.result() for future in sessions)
+        return len(sessions)
 
     def close(self):
         self._srv.close()

@@ -142,6 +142,60 @@ def test_k_beyond_hello_field_exits_2_before_connecting(tmp_path, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    ("command", "port"),
+    [(["query", "--item", "0"], "P + 65536"), (["serve"], "99999"), (["serve"], "\u00b2")],
+    ids=("query-beyond-65535", "serve-beyond-65535", "serve-superscript-digit"),
+)
+def test_bad_port_exits_2_before_connecting(tmp_path, command, port):
+    # getaddrinfo keeps the low 16 bits, so query used to reach port P
+    # (refused: exit 3); serve failed in bind with an OverflowError, and
+    # int() rejected the superscript digit with a ValueError
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        if port == "P + 65536":
+            port = str(closed.getsockname()[1] + 65536)
+        args = [command[0], "--address", f"127.0.0.1:{port}", *SESSION, *command[1:]]
+        done = run_cli_process(args, tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and port in done.stderr
+    assert "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+NEGATIVE_SEED = ["--N", "64", "--k", "2", "--theta", "0.9", "--seed", "-1"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", *NEGATIVE_SEED, "--item", "0"],
+        ["serve", "--address", "127.0.0.1:0", *NEGATIVE_SEED, "--sessions", "1"],
+        ["query", "--address", "127.0.0.1:9", *NEGATIVE_SEED, "--item", "0"],
+        ["attack", "--kind", "helstrom", "--theta", "0.3", "--seed", "-1"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, args):
+    # np.random.SeedSequence used to reject it with a ValueError traceback
+    done = run_cli_process(args, tmp_path)
+    assert done.returncode == 1
+    assert "error: argument --seed: must be a non-negative integer" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(("which", "n_items"), [("F2", "0"), ("F2", "-5"), ("F4", "-5")])
+def test_figures_n_below_1_exits_2(tmp_path, which, n_items):
+    # F2 used to take 0 for "absent" and draw N = 10^4, and -5 gave an
+    # empty F2 series and negative F4 expected bits, all with exit 0
+    done = run_cli_process(["figures", "--which", which, "--N", n_items], tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: --N must be at least 1, got {n_items}")
+    assert "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_serve_on_port_in_use_exits_3_without_traceback(tmp_path):
     with socket.create_server(("127.0.0.1", 0)) as busy:
         address = "127.0.0.1:%d" % busy.getsockname()[1]
@@ -320,7 +374,7 @@ def test_serve_and_query_subprocess_round_trip(tmp_path):
     db_path = tmp_path / "db.hex"
     database = protocol.random_database(64, 123)
     protocol.save_database_hex(db_path, database)
-    server = subprocess.Popen(
+    with subprocess.Popen(
         [
             sys.executable, "-m", "qpqsim.cli", "serve",
             "--address", "127.0.0.1:0", "--N", "64", "--k", "2",
@@ -331,26 +385,26 @@ def test_serve_and_query_subprocess_round_trip(tmp_path):
         stderr=subprocess.PIPE,
         text=True,
         env=env,
-    )
-    try:
-        line = server.stdout.readline()
-        assert line.startswith("listening on "), line
-        port = int(line.strip().rsplit(":", 1)[1])
-        for item in (9, 33):
-            code = cli.main(
-                [
-                    "query", "--address", f"127.0.0.1:{port}", "--N", "64",
-                    "--k", "2", "--theta", "0.9", "--seed", "5",
-                    "--item", str(item), "--out", str(tmp_path),
-                ]
-            )
-            assert code == 0
-    finally:
+    ) as server:
         try:
-            server.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            server.kill()
-            raise
+            line = server.stdout.readline()
+            assert line.startswith("listening on "), line
+            port = int(line.strip().rsplit(":", 1)[1])
+            for item in (9, 33):
+                code = cli.main(
+                    [
+                        "query", "--address", f"127.0.0.1:{port}", "--N", "64",
+                        "--k", "2", "--theta", "0.9", "--seed", "5",
+                        "--item", str(item), "--out", str(tmp_path),
+                    ]
+                )
+                assert code == 0
+        finally:
+            try:
+                server.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                server.kill()
+                raise
     served = json.loads(next(tmp_path.glob("serve-*.json")).read_text())
     assert served["sessions_handled"] == 2
     assert served["outcomes"] == {"ok": 2}

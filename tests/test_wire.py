@@ -480,27 +480,92 @@ def test_stalled_peer_frees_its_worker_within_the_timeout(monkeypatch):
     assert server.outcomes == {"timeout": 1}
 
 
-def test_drip_feeding_peer_is_cut_off_after_the_linger(monkeypatch):
-    # one byte per 0.2 s never trips SOCKET_TIMEOUT, and HELLO takes 5.4 s
-    monkeypatch.setattr(wire, "SERVER_LINGER", 0.5)
+def drip(conn, data, interval):
+    """Send data one byte per interval until it is all sent or the peer hangs up."""
+    try:
+        for byte in data:
+            conn.sendall(bytes([byte]))
+            time.sleep(interval)
+    except OSError:
+        pass  # the peer closed the connection
+
+
+def test_drip_feeding_peer_times_out_within_the_budget(monkeypatch):
+    # each byte used to restart the timeout, and HELLO takes 5.4 s at this pace
+    monkeypatch.setattr(wire, "SOCKET_TIMEOUT", 0.5)
     cfg = make_config()
     server = wire.WireServer("127.0.0.1", 0, cfg, random_database(cfg.n_items, 9), sessions=1)
     start = time.monotonic()
     thread, handled = serve_in_thread(server)
     with socket.create_connection(("127.0.0.1", server.port)) as conn:
-        try:
-            for byte in encode_frame(wire._hello(cfg)):
-                if not thread.is_alive():
-                    break
-                conn.sendall(bytes([byte]))
-                time.sleep(0.2)
-        except OSError:
-            pass  # the server shut the connection down
+        drip(conn, encode_frame(wire._hello(cfg)), 0.2)
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert time.monotonic() - start < 5
     assert handled == [1]
-    assert server.outcomes == {"disconnected": 1}
+    assert server.outcomes == {"timeout": 1}
+
+
+def test_drip_feeding_peer_cannot_starve_the_server(monkeypatch):
+    # one worker, held by a peer dripping HELLO (8.1 s at this pace): the
+    # honest client behind it waits one budget, not for the whole frame
+    monkeypatch.setattr(wire, "SERVER_WORKERS", 1)
+    monkeypatch.setattr(wire, "SOCKET_TIMEOUT", 1.0)
+    cfg = make_config()
+    database = random_database(cfg.n_items, 9)
+    server = wire.WireServer("127.0.0.1", 0, cfg, database, sessions=2)
+    thread, handled = serve_in_thread(server)
+    with socket.create_connection(("127.0.0.1", server.port)) as slow:
+        dripper = threading.Thread(
+            target=drip, args=(slow, encode_frame(wire._hello(cfg)), 0.3), daemon=True
+        )
+        dripper.start()
+        start = time.monotonic()
+        with socket.create_connection(("127.0.0.1", server.port)) as conn:
+            alice = run_alice_endpoint(cfg, 5, conn)
+        assert time.monotonic() - start < 5
+        dripper.join(timeout=30)
+    thread.join(timeout=30)
+    assert alice.retrieved_bit == database[5]
+    assert handled == [2]
+    assert server.outcomes == {"timeout": 1, "ok": 1}
+
+
+def test_query_times_out_against_a_drip_feeding_server():
+    # each byte used to restart the timeout: the query read the whole
+    # frame (13 s at this pace) and only then failed on its size
+    cfg = make_config()
+    batch = OutcomeBatch(received=np.ones(1000, bool), outcomes=np.zeros(1000, np.uint8))
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def drip_server():
+            conn, _ = listener.accept()
+            with conn:
+                drip(conn, encode_frame(batch), 0.05)
+
+        dripper = threading.Thread(target=drip_server, daemon=True)
+        dripper.start()
+        start = time.monotonic()
+        with socket.create_connection(listener.getsockname(), timeout=0.5) as conn:
+            with pytest.raises(ProtocolAbort) as exc:
+                run_alice_endpoint(cfg, 5, conn)
+        assert time.monotonic() - start < 3
+        dripper.join(timeout=30)
+    assert exc.value.code == wire.ERR_TIMEOUT
+    assert "0.5 s budget" in str(exc.value)
+
+
+def test_peer_that_never_reads_times_out_the_send():
+    # a frame far larger than both socket buffers blocks in sendall until
+    # the budget is spent; this used to count as a disconnect (code None)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        with socket.create_connection(listener.getsockname(), timeout=0.5) as conn:
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            peer, _ = listener.accept()
+            with peer, pytest.raises(ProtocolAbort) as exc:
+                wire.FrameStream(conn).send(MeasureSubmit(bases=np.zeros(1 << 23, np.uint8)))
+    assert exc.value.code == wire.ERR_TIMEOUT
 
 
 def test_server_runs_at_most_server_workers_sessions_at_once(monkeypatch):
@@ -559,8 +624,7 @@ def test_session_failing_with_any_exception_is_counted(monkeypatch):
 
 
 def test_concurrent_sessions_are_all_counted():
-    # sixteen sessions on SERVER_WORKERS threads finish close together; a
-    # lost update of the shared tally would show as a count below 16
+    # sixteen sessions on SERVER_WORKERS threads finish close together
     cfg = make_config()
     server = wire.WireServer("127.0.0.1", 0, cfg, random_database(cfg.n_items, 9), sessions=16)
     interval = sys.getswitchinterval()
