@@ -151,7 +151,7 @@ def cmd_run(args):
 
 def _parse_address(text):
     host, _, port = text.rpartition(":")
-    if not host or not port.isdecimal():
+    if not host or not (port.isascii() and port.isdigit()):
         raise DomainError(f"address must be host:port, got {text!r}")
     if int(port) > 65535:
         raise DomainError(f"port must be in 0..65535, got {port}")
@@ -193,6 +193,7 @@ def cmd_query(args):
     except OSError as exc:
         raise ProtocolAbort(f"cannot connect to {args.address}: {exc}")
     with conn:
+        conn.settimeout(wire.session_budget(config))
         alice = wire.run_alice_endpoint(config, args.item, conn)
     _emit_doc(args, alice.report.to_dict())
     return EXIT_OK

@@ -25,7 +25,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import CapacityError, ProtocolAbort, QpqError
-from .protocol import ROUND, Receiver, Sender, check_target
+from .protocol import PHOTON_CAP, ROUND, Receiver, Sender, check_target
 
 # re-exported, unused here: perfbench/test_bench.py checks both names
 from .protocol import draw_bases, simulate_batch  # noqa: F401
@@ -40,7 +40,8 @@ ERR_SESSION_FAILED = 4
 # codes of ERROR frames, so no peer can claim it.
 ERR_TIMEOUT = 0x100
 
-SOCKET_TIMEOUT = 60.0  # seconds a served or querying session may take in all
+SOCKET_TIMEOUT = 60.0  # seconds every served or querying session may take, plus
+PHOTON_SECONDS = 1e-5  # this for each photon it expects to send (session_budget)
 SERVER_WORKERS = 8  # sessions a WireServer runs at once; later ones queue
 
 # WireServer's tally of a session that ended in a ProtocolAbort, by its code
@@ -247,7 +248,7 @@ class FrameStream:
         self._deadline = None if self._budget is None else time.monotonic() + self._budget
 
     def _timed_out(self):
-        return ProtocolAbort(f"session exceeded its {self._budget} s budget", code=ERR_TIMEOUT)
+        return ProtocolAbort(f"session exceeded its {self._budget:.1f} s budget", code=ERR_TIMEOUT)
 
     def _arm(self):
         if self._deadline is not None:
@@ -344,6 +345,13 @@ def check_config(config):
         _hello(config).encode_payload()
     except struct.error as exc:
         raise CapacityError(f"session parameters do not fit a HELLO frame: {exc}") from None
+
+
+def session_budget(config):
+    """Seconds a served or querying session may take: both ends know it
+    before the first frame, and a server takes it from its own config."""
+    photons = min(PHOTON_CAP, config.raw_length / (1.0 - config.loss_rate))
+    return SOCKET_TIMEOUT + PHOTON_SECONDS * photons
 
 
 def run_bob_endpoint(config, database, conn, audit=None):
@@ -461,10 +469,10 @@ def run_local_session(config, database, target_index, audit_bob=None, audit_alic
 class WireServer:
     """TCP listener hosting independent sessions on SERVER_WORKERS threads.
 
-    Each connection gets its own key (see session_config) and a socket
-    whose SOCKET_TIMEOUT bounds its whole session. outcomes counts every
-    accepted session: "ok", or the ABORT_OUTCOMES name of the abort, or
-    the class of any other exception. The bound port is available
+    Each connection gets its own key (see session_config) and its
+    session_budget, counted from accept. Once serve returns, outcomes
+    counts every accepted session: "ok", or the ABORT_OUTCOMES name of the
+    abort, or the class of any other exception. The bound port is available
     immediately after construction, so port 0 (OS-assigned) works for
     tests and scripted runs.
     """
@@ -487,9 +495,13 @@ class WireServer:
         source, channel = (int(v) for v in seq.generate_state(2, dtype=np.uint64))
         return replace(base, source_seed=source, channel_seed=channel)
 
-    def _handle(self, conn, config):
+    def _handle(self, conn, config, deadline):
         with conn:
             try:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    return "timeout"  # spent waiting for a worker
+                conn.settimeout(left)
                 run_bob_endpoint(config, self._database, conn)
                 return "ok"
             except ProtocolAbort as exc:
@@ -510,9 +522,10 @@ class WireServer:
                     conn, _ = self._srv.accept()
                 except OSError:
                     break  # listener closed
-                conn.settimeout(SOCKET_TIMEOUT)
                 config = self.session_config(len(sessions))
-                sessions.append(pool.submit(self._handle, conn, config))
+                # from accept, as the peer's from its connect: the pool drains in one budget
+                deadline = time.monotonic() + session_budget(config)
+                sessions.append(pool.submit(self._handle, conn, config, deadline))
         self.outcomes.update(future.result() for future in sessions)
         return len(sessions)
 

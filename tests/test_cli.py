@@ -144,17 +144,31 @@ def test_k_beyond_hello_field_exits_2_before_connecting(tmp_path, command):
 
 @pytest.mark.parametrize(
     ("command", "port"),
-    [(["query", "--item", "0"], "P + 65536"), (["serve"], "99999"), (["serve"], "\u00b2")],
-    ids=("query-beyond-65535", "serve-beyond-65535", "serve-superscript-digit"),
+    [
+        (["query", "--item", "0"], "P + 65536"),
+        (["query", "--item", "0"], "P in fullwidth digits"),
+        (["serve"], "99999"),
+        (["serve"], "\u00b2"),
+    ],
+    ids=(
+        "query-beyond-65535",
+        "query-fullwidth-digits",
+        "serve-beyond-65535",
+        "serve-superscript-digit",
+    ),
 )
 def test_bad_port_exits_2_before_connecting(tmp_path, command, port):
     # getaddrinfo keeps the low 16 bits, so query used to reach port P
-    # (refused: exit 3); serve failed in bind with an OverflowError, and
-    # int() rejected the superscript digit with a ValueError
+    # (refused: exit 3), as it did for P in fullwidth digits, which int()
+    # reads; serve failed in bind with an OverflowError, and int()
+    # rejected the superscript digit with a ValueError
     with socket.socket() as closed:
         closed.bind(("127.0.0.1", 0))
         if port == "P + 65536":
             port = str(closed.getsockname()[1] + 65536)
+        elif port == "P in fullwidth digits":
+            fullwidth = {ord("0") + d: 0xFF10 + d for d in range(10)}
+            port = str(closed.getsockname()[1]).translate(fullwidth)
         args = [command[0], "--address", f"127.0.0.1:{port}", *SESSION, *command[1:]]
         done = run_cli_process(args, tmp_path)
     assert done.returncode == 2

@@ -508,9 +508,10 @@ def test_drip_feeding_peer_times_out_within_the_budget(monkeypatch):
 
 def test_drip_feeding_peer_cannot_starve_the_server(monkeypatch):
     # one worker, held by a peer dripping HELLO (8.1 s at this pace): the
-    # honest client behind it waits one budget, not for the whole frame
+    # honest client behind it waits out that peer's budget, not the whole
+    # frame, and its own budget, counted from accept, still has 1 s left
     monkeypatch.setattr(wire, "SERVER_WORKERS", 1)
-    monkeypatch.setattr(wire, "SOCKET_TIMEOUT", 1.0)
+    monkeypatch.setattr(wire, "SOCKET_TIMEOUT", 2.0)
     cfg = make_config()
     database = random_database(cfg.n_items, 9)
     server = wire.WireServer("127.0.0.1", 0, cfg, database, sessions=2)
@@ -520,6 +521,7 @@ def test_drip_feeding_peer_cannot_starve_the_server(monkeypatch):
             target=drip, args=(slow, encode_frame(wire._hello(cfg)), 0.3), daemon=True
         )
         dripper.start()
+        time.sleep(1.0)
         start = time.monotonic()
         with socket.create_connection(("127.0.0.1", server.port)) as conn:
             alice = run_alice_endpoint(cfg, 5, conn)
@@ -529,6 +531,53 @@ def test_drip_feeding_peer_cannot_starve_the_server(monkeypatch):
     assert alice.retrieved_bit == database[5]
     assert handled == [2]
     assert server.outcomes == {"timeout": 1, "ok": 1}
+
+
+def test_queued_sessions_spend_their_budget_from_accept(monkeypatch):
+    # four silent peers, one worker: each budget runs from accept, so serve
+    # drains in one budget; counted from a worker's pickup it took four
+    monkeypatch.setattr(wire, "SERVER_WORKERS", 1)
+    monkeypatch.setattr(wire, "SOCKET_TIMEOUT", 1.0)
+    cfg = make_config()
+    server = wire.WireServer("127.0.0.1", 0, cfg, random_database(cfg.n_items, 9), sessions=4)
+    start = time.monotonic()
+    thread, handled = serve_in_thread(server)
+    peers = [socket.create_connection(("127.0.0.1", server.port)) for _ in range(4)]
+    thread.join(timeout=30)
+    for peer in peers:
+        peer.close()
+    assert time.monotonic() - start < 2.5
+    assert handled == [4]
+    assert server.outcomes == {"timeout": 4}
+
+
+def test_session_budget_grows_with_the_photons_it_sends():
+    assert wire.session_budget(make_config()) < wire.SOCKET_TIMEOUT + 0.01
+    lossy = make_config(n_items=10**6, substrings=4, loss_rate=0.9)
+    budget = wire.SOCKET_TIMEOUT + wire.PHOTON_SECONDS * 4e7  # photons: kN / (1 - loss)
+    assert wire.session_budget(lossy) == pytest.approx(budget)
+    beyond_cap = make_config(n_items=10**8, substrings=4, loss_rate=0.99)
+    budget = wire.SOCKET_TIMEOUT + wire.PHOTON_SECONDS * protocol.PHOTON_CAP
+    assert wire.session_budget(beyond_cap) == pytest.approx(budget)
+
+
+def test_session_longer_than_socket_timeout_completes_within_its_budget(monkeypatch):
+    # 400,000 photons in 7 rounds take longer than 0.1 s, which used to be
+    # the whole budget of any session; the photons now add to it
+    monkeypatch.setattr(wire, "SOCKET_TIMEOUT", 0.1)
+    cfg = make_config(n_items=5000, substrings=4, loss_rate=0.95)
+    database = random_database(cfg.n_items, 9)
+    server = wire.WireServer("127.0.0.1", 0, cfg, database, sessions=1)
+    thread, handled = serve_in_thread(server)
+    start = time.monotonic()
+    with socket.create_connection(("127.0.0.1", server.port)) as conn:
+        conn.settimeout(wire.session_budget(cfg))
+        alice = run_alice_endpoint(cfg, 5, conn)
+    assert time.monotonic() - start > wire.SOCKET_TIMEOUT
+    thread.join(timeout=30)
+    assert alice.retrieved_bit == database[5]
+    assert handled == [1]
+    assert server.outcomes == {"ok": 1}
 
 
 def test_query_times_out_against_a_drip_feeding_server():
