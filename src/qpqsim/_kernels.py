@@ -1,8 +1,10 @@
 """Hot Monte Carlo kernels, vectorized with numpy.
 
-Every kernel consumes pre-drawn uniform arrays, so all randomness stays
-in the numpy Generator streams owned by the callers and results depend
-only on the seeds.
+Every kernel consumes randomness its caller has already drawn: uniform
+arrays for the Born-rule comparisons and the transmission's coins, and
+0/1 coin arrays for the attacks. So all randomness stays in the numpy
+Generator streams owned by the callers and results depend only on the
+seeds.
 """
 
 import numpy as np
@@ -27,22 +29,28 @@ def _simulate_transmission_np(u_label, bases, u_chan, p0, loss_rate):
     return labels, received, outcomes
 
 
+def _pick(coin, if0, if1):
+    """Per element, if1 where the bool coin is set and if0 where it is
+    not: on bool arrays, bit operations cost several times less than a
+    gather through an index array."""
+    return if0 ^ (coin & (if0 ^ if1))
+
+
 def _usd_trials_np(u, truth, p_wrong, p_right):
     # codes: 0 = inconclusive, 1 = correct identification, 2 = wrong one.
     # Two stages, since u < pw implies u < pw + pr only when pr >= 0.
-    index = truth.astype(np.intp)
-    pw = p_wrong.take(index)
-    codes = (u < pw + p_right.take(index)).view(np.uint8)
-    codes[u < pw] = 2
+    truth = truth.view(np.bool_)  # 0/1 of any one-byte dtype
+    (pw0, pw1), (pk0, pk1) = p_wrong.tolist(), (p_wrong + p_right).tolist()
+    codes = _pick(truth, u < pk0, u < pk1).view(np.uint8)
+    codes[_pick(truth, u < pw0, u < pw1)] = 2
     return codes
 
 
-def _conclusiveness_trials_np(u, p0_attack, want_conclusive):
-    attack = u[:, 0] >= 0.5
-    bases = u[:, 1] >= 0.5
-    index = np.add(attack, attack, dtype=np.intp)  # flat index of p0_attack[attack, bases]
-    index += bases
-    outcomes = u[:, 2] >= p0_attack.take(index)
+def _conclusiveness_trials_np(attack, bases, u, p0_attack, want_conclusive):
+    # attack and bases are bool coins, u the outcome uniforms: outcome 1
+    # when u >= p0_attack[attack, basis]
+    (p00, p01), (p10, p11) = p0_attack.tolist()
+    outcomes = _pick(bases, _pick(attack, u >= p00, u >= p10), _pick(attack, u >= p01, u >= p11))
     # the announced letter is the attack label, flipped to seek a conclusive result
     conclusive = outcomes != (attack ^ bool(want_conclusive))
     bits = (~bases).view(np.uint8)

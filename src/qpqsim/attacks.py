@@ -174,12 +174,29 @@ def _rounds(trials, per_trial):
         yield slice(start, min(start + step, total))
 
 
+def _coins(rng, count):
+    """count fair coins from one read of ceil(count / 8) bytes, packed
+    eight to a byte: coin i is bit 7 - i % 8 of byte i // 8 (numpy's
+    unpackbits order). Generator.bytes serves any bit generator, where
+    raw words need not fill 64 bits (MT19937's are 32)."""
+    return np.frombuffer(rng.bytes(-(-count // 8)), dtype=np.uint8)
+
+
+def _unpack(coins, start, stop):
+    """Coins start to stop (exclusive) of _coins' packing, as a bool array."""
+    first = start // 8
+    bits = np.unpackbits(coins[first:-(-stop // 8)])
+    return bits[start - 8 * first:stop - 8 * first].view(np.bool_)
+
+
 def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=None):
     """Store-and-discriminate attack, one photon at a time.
 
     Analytic expectation of known final bits: N (1 - cos theta)^k. The
-    Monte Carlo draws the true letter-pair member per raw bit, samples the
-    discriminator's three outcomes at their Born weights, and counts final
+    Monte Carlo draws the true letter-pair member per raw bit as a fair
+    coin, all of them first and kept packed, one bit per raw photon. Then,
+    one round at a time, it samples the discriminator's three outcomes at
+    their Born weights from one uniform per photon, and counts final
     positions whose k contributors all succeeded. Wrong identifications
     are tallied; unambiguity demands exactly zero.
     """
@@ -196,12 +213,11 @@ def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=
     p_wrong = np.array([p_e1_0, p_e0_1])
 
     # every truth bit is drawn before the first discrimination uniform
-    truth = np.empty(trials * substrings, dtype=np.uint8)
-    for part in _rounds(trials, substrings):
-        truth[part] = rng.random(part.stop - part.start) >= 0.5
+    truth = _coins(rng, trials * substrings)
     wrong = known = 0
     for part in _rounds(trials, substrings):
-        codes = usd_trials(rng.random(part.stop - part.start), truth[part], p_wrong, p_right)
+        u = rng.random(part.stop - part.start)
+        codes = usd_trials(u, _unpack(truth, part.start, part.stop), p_wrong, p_right)
         wrong += int(np.count_nonzero(codes == 2))
         # AND the k columns: np.all over rows of k is several times slower
         success = (codes == 1).reshape(-1, substrings)
@@ -236,6 +252,11 @@ def bob_conclusiveness_attack(theta, want_conclusive, trials=DEFAULT_TRIALS, rng
     receiver's honest measurement and sift are simulated; the conditional
     distribution of her inferred bit is reported, and is uniform: the
     attack trades all bit-value knowledge for conclusiveness knowledge.
+
+    Per trial the attack label and the receiver's basis are fair coins,
+    all 2 * trials of them drawn first in one read (the labels, then the
+    bases); the outcome takes one uniform per trial, drawn one round at
+    a time.
     """
     _check_theta(theta)
     if trials < 1:
@@ -251,10 +272,15 @@ def bob_conclusiveness_attack(theta, want_conclusive, trials=DEFAULT_TRIALS, rng
             b0, _ = basis_states(basis, theta)
             p0_attack[a, basis] = abs(b0.overlap(psi)) ** 2
 
+    coins = _coins(rng, 2 * trials)
     hits = ones = 0
     for part in _rounds(trials, 1):
         conclusive, bits = conclusiveness_trials(
-            rng.random((part.stop - part.start, 3)), p0_attack, bool(want_conclusive)
+            _unpack(coins, part.start, part.stop),
+            _unpack(coins, trials + part.start, trials + part.stop),
+            rng.random(part.stop - part.start),
+            p0_attack,
+            bool(want_conclusive),
         )
         hits += int(np.count_nonzero(conclusive))
         ones += int(np.count_nonzero(bits & conclusive))

@@ -193,6 +193,9 @@ def cmd_query(args):
     except OSError as exc:
         raise ProtocolAbort(f"cannot connect to {args.address}: {exc}")
     with conn:
+        # each round sends two small frames before it reads: Nagle's
+        # algorithm would hold the second until the first is ACKed
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(wire.session_budget(config))
         alice = wire.run_alice_endpoint(config, args.item, conn)
     _emit_doc(args, alice.report.to_dict())

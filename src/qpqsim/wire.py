@@ -501,6 +501,8 @@ class WireServer:
                 left = deadline - time.monotonic()
                 if left <= 0:
                     return "timeout"  # spent waiting for a worker
+                # small frames leave at once, not after the peer's delayed ACK
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 conn.settimeout(left)
                 run_bob_endpoint(config, self._database, conn)
                 return "ok"

@@ -123,6 +123,47 @@ def test_bob_attack_does_not_depend_on_the_round(monkeypatch, want):
     assert 0 < doc["inferred_ones"] < doc["conclusive_count"] < 5003
 
 
+# --- fair coins --------------------------------------------------------------------
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 31, 33, 64, 1001])
+def test_coins_read_ceil_count_over_8_bytes_in_unpackbits_order(bit_generator, count):
+    rng = np.random.Generator(bit_generator(5))
+    twin = np.random.Generator(bit_generator(5))
+    coins = attacks._coins(rng, count)
+    raw = twin.bytes(-(-count // 8))
+    assert coins.dtype == np.uint8 and coins.tobytes() == raw
+    # nothing more was read: next bytes (a buffered half-word shows) and floats
+    assert rng.bytes(8) == twin.bytes(8)
+    assert rng.random(2).tolist() == twin.random(2).tolist()
+    # coin i is bit 7 - i % 8 of byte i // 8, for any start and stop
+    want = [bool((raw[i // 8] >> (7 - i % 8)) & 1) for i in range(count)]
+    for start in range(min(count, 9) + 1):
+        for stop in {start, start + 1, count // 2, count - 1, count}:
+            if start <= stop <= count:
+                got = attacks._unpack(coins, start, stop)
+                assert got.dtype == np.bool_
+                assert got.tolist() == want[start:stop]
+
+
+def test_attacks_land_on_their_rates_with_mt19937():
+    # MT19937's raw words are 32 bits wide: coins cut from the top of a
+    # 64-bit raw word would all be 0, and every inferred bit 1
+    rng = np.random.Generator(np.random.MT19937(11))
+    usd = alice_individual_usd(500, 1.2, 2, trials=20000, rng=rng)
+    assert abs(usd.estimate - usd.analytic) <= 5 * usd.sigma
+    assert usd.extra["wrong_identifications"] == 0
+    for want in (True, False):
+        bob = bob_conclusiveness_attack(0.7, want, trials=20000, rng=rng)
+        assert abs(bob.estimate - bob.analytic) <= 5 * bob.sigma
+        # the inferred bit of a conclusive trial is a fair coin
+        hits = bob.extra["conclusive_count"]
+        assert abs(bob.extra["inferred_ones"] - hits / 2) <= 5 * math.sqrt(hits) / 2
+
+
 # --- parity mixtures and joint bounds ----------------------------------------------
 
 

@@ -5,10 +5,11 @@ import resource
 import socket
 import subprocess
 import sys
+import threading
 
 import pytest
 
-from qpqsim import cli, protocol
+from qpqsim import cli, protocol, wire
 
 
 def run_cli(args, tmp_path, capsys):
@@ -258,8 +259,8 @@ def test_t4_largest_row_runs_in_one_gib(tmp_path):
 
 def test_usd_attack_of_ten_million_trials_runs_in_one_gib(tmp_path):
     # trials are drawn and counted one round at a time; all that grows
-    # with the trials is one truth byte per raw photon (30 MB here), where
-    # drawing them at once failed to allocate 229 MiB
+    # with the trials is one packed truth bit per raw photon (3.75 MB
+    # here), where drawing them at once failed to allocate 229 MiB
     args = ["attack", "--kind", "usd", "--theta", "0.284", "--k", "3",
             "--N", "50000", "--trials", "10000000"]
     done = run_cli_process(args, tmp_path, address_space=GIB, timeout=120)
@@ -380,6 +381,38 @@ def test_joint_usd_attack_every_plannable_k(tmp_path, capsys):
         ["attack", "--kind", "joint-usd", "--theta", "0.2", "--k", "65"], tmp_path, capsys
     )
     assert code == 2
+
+
+def test_query_and_server_sockets_send_without_nagle_delay(tmp_path, monkeypatch):
+    # a round sends two small frames before it reads: under Nagle's
+    # algorithm the second waits for the delayed ACK of the first
+    nodelay = {}
+
+    def recording(end, endpoint):
+        def run(config, arg, conn):
+            nodelay[end] = conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            return endpoint(config, arg, conn)
+
+        return run
+
+    monkeypatch.setattr(wire, "run_bob_endpoint", recording("server", wire.run_bob_endpoint))
+    monkeypatch.setattr(wire, "run_alice_endpoint", recording("query", wire.run_alice_endpoint))
+    source, channel, measure = cli.derive_seeds(5)
+    config = protocol.SessionConfig(
+        n_items=64, substrings=2, theta=0.9,
+        source_seed=source, channel_seed=channel, measure_seed=measure,
+    )
+    server = wire.WireServer("127.0.0.1", 0, config, protocol.random_database(64, 5), sessions=1)
+    thread = threading.Thread(target=server.serve, daemon=True)
+    thread.start()
+    address = f"127.0.0.1:{server.port}"
+    code = cli.main(["query", "--address", address, *SESSION, "--item", "3",
+                     "--out", str(tmp_path)])
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert code == 0
+    assert server.outcomes == {"ok": 1}
+    assert nodelay == {"server": 1, "query": 1}
 
 
 def test_serve_and_query_subprocess_round_trip(tmp_path):

@@ -20,7 +20,9 @@ def inputs():
         "u_chan": rng.random((N, 3)),
         "u": rng.random(N),
         "truth": (rng.random(N) >= 0.5).astype(np.uint8),
-        "u3": rng.random((N, 3)),
+        "attack": rng.random(N) >= 0.5,
+        "basis": rng.random(N) >= 0.5,
+        "u_outcome": rng.random(N),
     }
 
 
@@ -47,13 +49,12 @@ def usd_loop(u, truth, p_wrong, p_right):
     return codes
 
 
-def conclusiveness_loop(u, p0_attack, want_conclusive):
+def conclusiveness_loop(attack_coins, basis_coins, u, p0_attack, want_conclusive):
     conclusive, bits = [], []
     for i in range(u.shape[0]):
-        attack = 1 if u[i, 0] >= 0.5 else 0
+        attack, basis = int(attack_coins[i]), int(basis_coins[i])
         announce = attack ^ 1 if want_conclusive else attack
-        basis = 1 if u[i, 1] >= 0.5 else 0
-        outcome = 1 if u[i, 2] >= p0_attack[attack, basis] else 0
+        outcome = 1 if u[i] >= p0_attack[attack, basis] else 0
         conclusive.append(outcome != announce)
         bits.append(1 - basis)
     return conclusive, bits
@@ -82,13 +83,17 @@ def test_usd_trials_match_reference_loop(inputs):
     codes = _kernels.usd_trials(inputs["u"], inputs["truth"], p_wrong, p_right)
     assert_same(codes, usd_loop(inputs["u"], inputs["truth"], p_wrong, p_right), np.uint8)
     assert set(codes.tolist()) == {0, 1, 2}
+    # the attack passes its truth coins as bools
+    as_bool = _kernels.usd_trials(inputs["u"], inputs["truth"].astype(bool), p_wrong, p_right)
+    assert_same(as_bool, codes.tolist(), np.uint8)
 
 
 @pytest.mark.parametrize("want", [True, False])
 def test_conclusiveness_trials_match_reference_loop(inputs, want):
     p0a = np.array([[0.8, 0.7], [0.2, 0.3]])
-    conclusive, bits = _kernels.conclusiveness_trials(inputs["u3"], p0a, want)
-    ref_conclusive, ref_bits = conclusiveness_loop(inputs["u3"], p0a, want)
+    args = (inputs["attack"], inputs["basis"], inputs["u_outcome"], p0a, want)
+    conclusive, bits = _kernels.conclusiveness_trials(*args)
+    ref_conclusive, ref_bits = conclusiveness_loop(*args)
     assert_same(conclusive, ref_conclusive, np.bool_)
     assert_same(bits, ref_bits, np.uint8)
 
@@ -117,18 +122,20 @@ def test_usd_trials_match_reference_loop_on_boundaries():
 
 @pytest.mark.parametrize("want", [True, False])
 def test_conclusiveness_trials_match_reference_loop_on_boundaries(want):
-    # coin uniforms on 0.5 and outcome uniforms on each probability, which
-    # are 0, 1 and within 1e-17 of them
-    for p0a in ([[0.0, 1.0], [1.0, 0.0]], [[1e-17, 1.0], [0.5, 0.0]]):
+    # each coin at both values and outcome uniforms on, just below and just
+    # above each probability, which are 0, 1 and within 1e-17 of 0
+    tables = ([[0.0, 1.0], [1.0, 0.0]], [[1e-17, 1.0], [0.5, 0.0]], [[-1e-17, 0.3], [1.0, 1e-17]])
+    for p0a in tables:
         p0a = np.array(p0a)
-        rows = []
-        for coin0, coin1 in product((np.nextafter(0.5, 0.0), 0.5), repeat=2):
-            attack, basis = int(coin0 >= 0.5), int(coin1 >= 0.5)
-            edge = p0a[attack, basis]
+        attack, basis, u = [], [], []
+        for coin0, coin1 in product((False, True), repeat=2):
+            edge = p0a[int(coin0), int(coin1)]
             for u2 in (np.nextafter(edge, -1.0), edge, np.nextafter(edge, 2.0)):
-                rows.append((coin0, coin1, u2))
-        u = np.array(rows)
-        conclusive, bits = _kernels.conclusiveness_trials(u, p0a, want)
-        ref_conclusive, ref_bits = conclusiveness_loop(u, p0a, want)
+                attack.append(coin0)
+                basis.append(coin1)
+                u.append(u2)
+        args = (np.array(attack), np.array(basis), np.array(u), p0a, want)
+        conclusive, bits = _kernels.conclusiveness_trials(*args)
+        ref_conclusive, ref_bits = conclusiveness_loop(*args)
         assert_same(conclusive, ref_conclusive, np.bool_)
         assert_same(bits, ref_bits, np.uint8)
