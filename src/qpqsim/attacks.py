@@ -182,13 +182,6 @@ def _coins(rng, count):
     return np.frombuffer(rng.bytes(-(-count // 8)), dtype=np.uint8)
 
 
-def _unpack(coins, start, stop):
-    """Coins start to stop (exclusive) of _coins' packing, as a bool array."""
-    first = start // 8
-    bits = np.unpackbits(coins[first:-(-stop // 8)])
-    return bits[start - 8 * first:stop - 8 * first].view(np.bool_)
-
-
 def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=None):
     """Store-and-discriminate attack, one photon at a time.
 
@@ -217,7 +210,7 @@ def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=
     wrong = known = 0
     for part in _rounds(trials, substrings):
         u = rng.random(part.stop - part.start)
-        codes = usd_trials(u, _unpack(truth, part.start, part.stop), p_wrong, p_right)
+        codes = usd_trials(u, protocol._unpack(truth, part.start, part.stop), p_wrong, p_right)
         wrong += int(np.count_nonzero(codes == 2))
         # AND the k columns: np.all over rows of k is several times slower
         success = (codes == 1).reshape(-1, substrings)
@@ -276,8 +269,8 @@ def bob_conclusiveness_attack(theta, want_conclusive, trials=DEFAULT_TRIALS, rng
     hits = ones = 0
     for part in _rounds(trials, 1):
         conclusive, bits = conclusiveness_trials(
-            _unpack(coins, part.start, part.stop),
-            _unpack(coins, trials + part.start, trials + part.stop),
+            protocol._unpack(coins, part.start, part.stop),
+            protocol._unpack(coins, trials + part.start, trials + part.stop),
             rng.random(part.stop - part.start),
             p0_attack,
             bool(want_conclusive),

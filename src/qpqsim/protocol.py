@@ -8,6 +8,13 @@ of length k*N which is cut into k substrings and XOR-folded into the
 N-bit final key; a single announced shift then aligns one of her known
 bits with the database item she wants.
 
+Every k*N array of a session (the sender's truth bits and letters, the
+receiver's kept bases and outcomes, her mask and decoded bits) is held
+packed, one bit per retained photon in np.packbits order, with the pad
+bits of the last byte zero: each round packs its retained photons into
+place, the sift works byte-wise, and the fold reads whole substrings.
+Only the N-bit final keys take a byte per bit.
+
 Randomness is split across three seeded streams (photon source, channel,
 receiver measurement) plus a derived query stream, with a fixed number of
 draws per photon, so results are independent of round sizes. The two
@@ -91,20 +98,66 @@ def sift(basis, outcome, declaration):
     return 1 if Basis(basis) is Basis.B else 0
 
 
+# --- packed bit arrays ---------------------------------------------------------
+
+
+def _packed_size(count):
+    return -(-count // 8)
+
+
+def _unpack(packed, start, stop):
+    """Bits start to stop (exclusive) of a packbits array, as a bool array."""
+    first = start // 8
+    bits = np.unpackbits(packed[first:-(-stop // 8)])
+    return bits[start - 8 * first:stop - 8 * first].view(np.bool_)
+
+
+def _pack_into(packed, start, bits):
+    """Write 0/1 bits to bits [start, start + bits.size) of a packbits
+    buffer that is zero from start on. The bits of a partly written byte
+    are packed again with the new ones, so any split of a bit run into
+    calls writes the same bytes."""
+    first, lead = divmod(start, 8)
+    if lead:
+        bits = np.concatenate((np.unpackbits(packed[first:first + 1], count=lead), bits))
+    chunk = np.packbits(bits)
+    packed[first:first + chunk.size] = chunk
+
+
 # --- keys --------------------------------------------------------------------
 
 
 @dataclass
 class RawKey:
-    """k*N retained coded bits; the sender view is ground truth, the
-    receiver holds a conclusiveness mask and her decoded values."""
+    """k*N retained coded bits, packed one bit per photon in np.packbits
+    order with zero pad bits. The sender's truth bits are ground truth;
+    the receiver holds a conclusiveness mask and her decoded values (zero
+    where unknown). bits, alice_mask and alice_bits unpack on access."""
 
-    bits: np.ndarray | None  # uint8, sender truth; None in the receiver's view
-    alice_mask: np.ndarray   # bool, conclusive positions
-    alice_bits: np.ndarray   # uint8, receiver values (zero where unknown)
+    size: int
+    packed_bits: np.ndarray | None  # sender truth; None in the receiver's view
+    packed_mask: np.ndarray
+    packed_alice: np.ndarray
 
     def __len__(self):
-        return self.alice_mask.size
+        return self.size
+
+    @property
+    def bits(self):
+        """uint8 sender truth, or None in the receiver's view."""
+        if self.packed_bits is None:
+            return None
+        return np.unpackbits(self.packed_bits, count=self.size)
+
+    @property
+    def alice_mask(self):
+        """bool, conclusive positions."""
+        return np.unpackbits(self.packed_mask, count=self.size).view(np.bool_)
+
+    @property
+    def alice_bits(self):
+        """uint8, the receiver's values, zero where unknown."""
+        return np.unpackbits(self.packed_alice, count=self.size)
 
 
 @dataclass
@@ -120,9 +173,17 @@ class FinalKey:
         return int(np.count_nonzero(self.alice_mask))
 
 
-def _fold(bits, substrings):
-    """XOR of the k equal substrings of a raw bit array."""
-    return np.bitwise_xor.reduce(bits.reshape(substrings, -1), axis=0).astype(np.uint8)
+def _fold(packed, substrings, n_items, op=np.bitwise_xor):
+    """op (XOR or AND) of the k substrings of N bits of a packed raw bit
+    array, as N bools. With N % 8 == 0 the substrings are whole rows of
+    bytes; otherwise they are unpacked one at a time."""
+    if n_items % 8 == 0:
+        rows = op.reduce(packed.reshape(substrings, -1), axis=0)
+        return np.unpackbits(rows).view(np.bool_)
+    out = _unpack(packed, 0, n_items)
+    for index in range(1, substrings):
+        op(out, _unpack(packed, index * n_items, (index + 1) * n_items), out=out)
+    return out
 
 
 def xor_compress(raw, substrings, n_items):
@@ -135,10 +196,13 @@ def xor_compress(raw, substrings, n_items):
         raise DomainError(
             f"raw key length {len(raw)} != substrings*n_items = {substrings * n_items}"
         )
-    mask = np.logical_and.reduce(raw.alice_mask.reshape(substrings, n_items), axis=0)
-    alice = np.where(mask, _fold(raw.alice_bits, substrings), 0).astype(np.uint8)
-    bits = None if raw.bits is None else _fold(raw.bits, substrings)
-    return FinalKey(bits=bits, alice_mask=mask, alice_bits=alice)
+    mask = _fold(raw.packed_mask, substrings, n_items, np.bitwise_and)
+    alice = _fold(raw.packed_alice, substrings, n_items)
+    alice &= mask
+    bits = None
+    if raw.packed_bits is not None:
+        bits = _fold(raw.packed_bits, substrings, n_items).view(np.uint8)
+    return FinalKey(bits=bits, alice_mask=mask, alice_bits=alice.view(np.uint8))
 
 
 # --- session engine ----------------------------------------------------------
@@ -221,12 +285,16 @@ def draw_bases(measure_rng, count):
     return (measure_rng.random(count) >= 0.5).astype(np.uint8)
 
 
-def sift_batch(bases, outcomes, declarations):
-    """Vectorized sift: conclusive exactly when outcome != declaration;
-    the inferred bit is 1 in the computational basis, 0 in the rotated one."""
-    mask = outcomes != declarations
-    alice_bits = 1 - bases
-    alice_bits *= mask  # zero where inconclusive
+def sift_batch(bases, outcomes, letters, count):
+    """Vectorized sift of count photons, byte-wise on packed arrays:
+    conclusive exactly when outcome != letter; the inferred bit is 1 in
+    the computational basis, 0 in the rotated one, and zero where
+    inconclusive. The pad bits of the letters count for nothing: both
+    results keep theirs zero. Returns the packed mask and bits."""
+    mask = outcomes ^ letters
+    mask[-1] &= 0xFF << (-count % 8) & 0xFF
+    alice_bits = ~bases
+    alice_bits &= mask
     return mask, alice_bits
 
 
@@ -258,16 +326,16 @@ class _Party:
         return count
 
     def _retain(self, received):
-        """The slice of the k*N buffers this round fills, and the indices
-        of its photons that fill it; the counters stop at the last retained
-        photon, so no round size moves them."""
+        """The offset in the k*N arrays where this round's retained photons
+        go, and their indices in the round; the counters stop at the last
+        retained photon, so no round size moves them."""
         idx = np.flatnonzero(received)[: self.config.raw_length - self.retained]
-        dest = slice(self.retained, self.retained + idx.size)
+        start = self.retained
         self.retained += idx.size
         used = idx[-1] + 1 if self.done else received.size
         self.sent += int(used)
         self.received += int(np.count_nonzero(received[:used]))
-        return dest, idx
+        return start, idx
 
     def _report(self, **fields):
         return SessionReport(
@@ -289,9 +357,16 @@ class Sender(_Party):
         self._source = stream(config.source_seed, attempt)
         self._channel = stream(config.channel_seed, attempt)
         self._p0 = born_outcome0_tables(config.theta)
-        self._labels = np.empty(config.raw_length, dtype=np.uint8)
-        self.raw_bits = self.final_bits = self.exchange = None
+        # a carrier label holds its coded bit (label >> 1) and letter (label & 1)
+        self.truth = np.zeros(_packed_size(config.raw_length), dtype=np.uint8)
+        self._letters = np.zeros_like(self.truth)
+        self.final_bits = self.exchange = None
         self.conclusive_count = 0  # the receiver's, as she acknowledges it
+
+    @property
+    def raw_bits(self):
+        """The packed truth bits, unpacked."""
+        return np.unpackbits(self.truth, count=self.config.raw_length)
 
     def transmit(self, bases):
         """Send one round measured in the receiver's bases; returns the
@@ -299,17 +374,19 @@ class Sender(_Party):
         labels, received, outcomes = simulate_batch(
             self._source, self._channel, bases, self.config, self._p0
         )
-        dest, idx = self._retain(received)
-        self._labels[dest] = labels[idx]
+        start, idx = self._retain(received)
+        kept = labels[idx]
+        _pack_into(self.truth, start, kept >> 1)
+        _pack_into(self._letters, start, kept & 1)
         return received, outcomes
 
     def declaration(self):
-        """The letters of the retained carriers; fixes the truth bits."""
-        labels, self._labels = self._labels, None
-        self.raw_bits = labels >> 1
-        self.final_bits = _fold(self.raw_bits, self.config.substrings)
-        labels &= 1  # the letters, in the buffer the labels leave
-        return labels
+        """The packed letters of the retained carriers; fixes the final
+        key."""
+        cfg = self.config
+        self.final_bits = _fold(self.truth, cfg.substrings, cfg.n_items).view(np.uint8)
+        letters, self._letters = self._letters, None
+        return letters
 
     def answer(self, database, shift):
         """Ciphertext for an announced shift s: item m is padded with key
@@ -341,9 +418,10 @@ class Receiver(_Party):
         super().__init__(config, attempt)
         self._measure = stream(config.measure_seed, attempt)
         self._bases = self._pending = None
-        self._kept_bases = np.empty(config.raw_length, dtype=np.uint8)
-        self._kept_outcomes = np.empty(config.raw_length, dtype=np.uint8)
+        self._kept_bases = np.zeros(_packed_size(config.raw_length), dtype=np.uint8)
+        self._kept_outcomes = np.zeros_like(self._kept_bases)
         self.raw = self.final = self.exchange = self.retrieved_bit = None
+        self.conclusive_count = 0
 
     def bases(self, count):
         """Basis choices for the next round of count photons."""
@@ -352,18 +430,22 @@ class Receiver(_Party):
 
     def absorb(self, received, outcomes):
         """Loss flags and outcomes of the round measured in bases()."""
-        dest, idx = self._retain(received)
-        self._kept_bases[dest] = self._bases[idx]
-        self._kept_outcomes[dest] = outcomes[idx]
+        start, idx = self._retain(received)
+        _pack_into(self._kept_bases, start, self._bases[idx])
+        _pack_into(self._kept_outcomes, start, outcomes[idx])
 
     def sift(self, letters):
-        """Sift against the declared letters and fold; returns the
-        conclusive count."""
-        mask, alice_bits = sift_batch(self._kept_bases, self._kept_outcomes, letters)
+        """Sift against the packed declared letters, whose pad bits count
+        for nothing, and fold; returns the conclusive count."""
+        cfg = self.config
+        mask, alice_bits = sift_batch(
+            self._kept_bases, self._kept_outcomes, letters, cfg.raw_length
+        )
         self._bases = self._kept_bases = self._kept_outcomes = None
-        self.raw = RawKey(bits=None, alice_mask=mask, alice_bits=alice_bits)
-        self.final = xor_compress(self.raw, self.config.substrings, self.config.n_items)
-        return int(np.count_nonzero(mask))
+        self.raw = RawKey(cfg.raw_length, None, mask, alice_bits)
+        self.final = xor_compress(self.raw, cfg.substrings, cfg.n_items)
+        self.conclusive_count = int(np.bitwise_count(mask).sum())
+        return self.conclusive_count
 
     def query(self, target_index):
         """Pick a known final-key position j uniformly; returns the shift
@@ -388,7 +470,7 @@ class Receiver(_Party):
     def report(self):
         known = self.final.known_count
         return self._report(
-            conclusive_count=int(np.count_nonzero(self.raw.alice_mask)),
+            conclusive_count=self.conclusive_count,
             known_final_count=known,
             query=self.exchange,
             success=known > 0,
@@ -413,7 +495,7 @@ def _distribute(config):
         sender, receiver = _single_pass(config, attempt)
         if receiver.final.known_count:
             break
-    raw = replace(receiver.raw, bits=sender.raw_bits)
+    raw = replace(receiver.raw, packed_bits=sender.truth)
     final = replace(receiver.final, bits=sender.final_bits)
     return sender, receiver, raw, final
 

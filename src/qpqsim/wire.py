@@ -79,7 +79,9 @@ def _pack_bits(bits):
     return _U32.pack(bits.size) + np.packbits(bits).tobytes()
 
 
-def _unpack_bits(payload, offset):
+def _read_packed(payload, offset):
+    """The bit count and packed body of the bit array at offset (a view
+    of the payload), and the offset after it."""
     if len(payload) < offset + 4:
         raise FrameDecodeError("truncated bit array header")
     (count,) = _U32.unpack_from(payload, offset)
@@ -87,9 +89,13 @@ def _unpack_bits(payload, offset):
     start = offset + 4
     if len(payload) < start + nbytes:
         raise FrameDecodeError("truncated bit array body")
-    packed = np.frombuffer(payload[start:start + nbytes], dtype=np.uint8)
-    bits = np.unpackbits(packed)[:count].astype(np.uint8)
-    return bits, start + nbytes
+    packed = np.frombuffer(payload, dtype=np.uint8, count=nbytes, offset=start)
+    return count, packed, start + nbytes
+
+
+def _unpack_bits(payload, offset):
+    count, packed, end = _read_packed(payload, offset)
+    return np.unpackbits(packed, count=count), end
 
 
 class _Message:
@@ -164,10 +170,40 @@ class OutcomeBatch(_Message):
         self.received = np.asarray(self.received, dtype=bool)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, init=False)
 class Declaration(_Message):
+    """The sender's letters, one per retained photon, held as the frame
+    carries them: the bit count and the packed body, whose pad bits count
+    for nothing. Built from 0/1 letters, which it packs, or from a count
+    and a packed body, which it takes as they are; letters unpacks on
+    access. So neither endpoint unpacks the k*N letters."""
+
     TAG = MsgType.DECLARATION
-    letters: np.ndarray
+    count: int
+    body: np.ndarray  # uint8, np.packbits order
+
+    def __init__(self, letters=None, *, count=None, body=None):
+        if letters is not None:
+            letters = np.asarray(letters, dtype=np.uint8)
+            count, body = letters.size, np.packbits(letters)
+        self.count, self.body = count, body
+
+    @property
+    def letters(self):
+        return np.unpackbits(self.body, count=self.count)
+
+    def _values(self):
+        return [self.letters]
+
+    def encode_payload(self):
+        return _U32.pack(self.count) + self.body.tobytes()
+
+    @classmethod
+    def decode_payload(cls, payload):
+        count, body, end = _read_packed(payload, 0)
+        if end != len(payload):
+            raise FrameDecodeError("trailing bytes after DECLARATION")
+        return cls(count=count, body=body)
 
 
 @dataclass(eq=False)
@@ -376,7 +412,7 @@ def run_bob_endpoint(config, database, conn, audit=None):
         received, outcomes = bob.transmit(sub.bases)
         fs.send(OutcomeBatch(received=received, outcomes=outcomes))
 
-    fs.send(Declaration(letters=bob.declaration()))
+    fs.send(Declaration(count=config.raw_length, body=bob.declaration()))
     bob.conclusive_count = fs.expect(SiftAck).conclusive_count
     ciphertext = bob.answer(database, fs.expect(Shift).shift)
     fs.send(Ciphertext(bits=ciphertext))
@@ -401,9 +437,9 @@ def run_alice_endpoint(config, target_index, conn, audit=None):
         alice.absorb(batch.received, batch.outcomes)
 
     decl = fs.expect(Declaration)
-    if decl.letters.size != config.raw_length:
+    if decl.count != config.raw_length:
         fs.fail(ERR_BAD_PARAMS, "declaration length does not match raw key length")
-    fs.send(SiftAck(conclusive_count=alice.sift(decl.letters)))
+    fs.send(SiftAck(conclusive_count=alice.sift(decl.body)))
     if alice.final.known_count == 0:
         fs.fail(ERR_SESSION_FAILED, "no known final-key bits; session must restart")
 

@@ -144,7 +144,7 @@ def test_coins_read_ceil_count_over_8_bytes_in_unpackbits_order(bit_generator, c
     for start in range(min(count, 9) + 1):
         for stop in {start, start + 1, count // 2, count - 1, count}:
             if start <= stop <= count:
-                got = attacks._unpack(coins, start, stop)
+                got = protocol._unpack(coins, start, stop)
                 assert got.dtype == np.bool_
                 assert got.tolist() == want[start:stop]
 

@@ -77,6 +77,30 @@ def test_transmission_matches_reference_loop(inputs):
     assert 0 < np.count_nonzero(received) < N
 
 
+def test_transmission_boundaries_match_reference_loop():
+    # per label and basis, the outcome uniform on, just below and just
+    # above its Born entry (0 and 1 among them), and the loss uniform on,
+    # just below and just above the loss rate: >= and > differ only there
+    p0 = born_outcome0_tables(0.47)
+    loss_rate = 0.35
+    rows = []
+    for label, basis in product(range(4), range(2)):
+        prob = p0[label, basis]
+        for u_out in (prob, np.nextafter(prob, 0.0), np.nextafter(prob, 1.0)):
+            for u_loss in (loss_rate, np.nextafter(loss_rate, 0.0), np.nextafter(loss_rate, 1.0)):
+                rows.append((label / 4 + 0.1, basis, u_loss, 0.5, u_out))
+    u_label, bases, *chan = (np.array(column) for column in zip(*rows))
+    args = (u_label, bases.astype(np.uint8), np.column_stack(chan), p0, loss_rate)
+    labels, received, outcomes = _kernels.simulate_transmission(*args)
+    ref_labels, ref_received, ref_outcomes = transmission_loop(*args)
+    assert_same(labels, ref_labels, np.uint8)
+    assert_same(received, ref_received, np.bool_)
+    assert_same(outcomes, ref_outcomes, np.uint8)
+    # the table holds entries of exactly 0 and 1, and each is hit
+    on_entry = args[2][:, 2] == p0[labels, bases]
+    assert {0.0, 1.0} <= set(args[2][on_entry, 2].tolist())
+
+
 def test_usd_trials_match_reference_loop(inputs):
     p_wrong = np.array([0.05, 0.1])
     p_right = np.array([0.27, 0.3])

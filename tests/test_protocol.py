@@ -91,7 +91,8 @@ def test_sift_exhaustive_truth_table():
 def _raw(bits, mask):
     bits = np.array(bits, dtype=np.uint8)
     mask = np.array(mask, dtype=bool)
-    return RawKey(bits=bits, alice_mask=mask, alice_bits=np.where(mask, bits, 0).astype(np.uint8))
+    alice = np.where(mask, bits, 0)
+    return RawKey(bits.size, np.packbits(bits), np.packbits(mask), np.packbits(alice))
 
 
 def test_xor_compress_identity_at_k1():
@@ -363,6 +364,21 @@ def test_database_file_round_trip(tmp_path):
     assert np.array_equal(load_database(bin_path, 37), bits)
     with pytest.raises(DomainError):
         load_database(bin_path, 512)
+
+
+def test_database_file_of_exactly_n_bits(tmp_path):
+    # a binary file of 64 bits, and its hex form, hold a 64-bit database
+    # and not a 65-bit one
+    blob = bytes([0x9C, 0x01, 0xFF, 0x80, 0x3E, 0x00, 0xA5, 0x5A])
+    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))
+    bin_path = tmp_path / "db.bin"
+    bin_path.write_bytes(blob)
+    hex_path = tmp_path / "db.hex"
+    save_database_hex(hex_path, bits)
+    for path in (bin_path, hex_path):
+        assert np.array_equal(load_database(path, 64), bits)
+        with pytest.raises(DomainError):
+            load_database(path, 65)
 
 
 def test_config_validation():

@@ -4,6 +4,7 @@ import socket
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,169 @@ def test_oversize_frame_rejected():
     big = Ciphertext(bits=np.ones(wire.MAX_FRAME_LENGTH * 8 + 64, dtype=np.uint8))
     with pytest.raises(CapacityError):
         encode_frame(big)
+
+
+def _frame(tag, payload):
+    return (1 + len(payload)).to_bytes(4, "big") + bytes([tag]) + payload
+
+
+@pytest.mark.parametrize("cls", [MeasureSubmit, OutcomeBatch, Declaration, Ciphertext])
+def test_bit_array_whose_body_is_one_byte_short_is_rejected(cls):
+    # a count of 17 bits needs three body bytes; the frame carries two
+    payload = (17).to_bytes(4, "big") + b"\xff\xff"
+    with pytest.raises(FrameDecodeError, match="truncated bit array body"):
+        decode_frame(_frame(cls.TAG, payload))
+
+
+def test_outcome_batch_whose_arrays_differ_in_length_is_rejected():
+    nine, eight = np.ones(9, dtype=np.uint8), np.ones(8, dtype=np.uint8)
+    payload = wire._pack_bits(nine) + wire._pack_bits(eight)
+    with pytest.raises(FrameDecodeError, match="differ in length"):
+        decode_frame(_frame(MsgType.OUTCOME_BATCH, payload))
+
+
+def test_decoding_a_bit_array_allocates_it_once():
+    # one byte per bit, besides the frame's packed payload
+    frame = encode_frame(MeasureSubmit(bases=np.ones(wire.ROUND, dtype=np.uint8)))
+    tracemalloc.start()
+    try:
+        msg = decode_frame(frame)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert msg.bases.tolist() == [1] * wire.ROUND
+    assert peak < wire.ROUND + 2 * len(frame)
+
+
+def test_declaration_of_packed_letters_encodes_as_of_letters():
+    letters = (np.random.default_rng(3).random(37) >= 0.5).astype(np.uint8)
+    packed = Declaration(count=37, body=np.packbits(letters))
+    assert encode_frame(packed) == encode_frame(Declaration(letters=letters))
+    assert packed.letters.tolist() == letters.tolist()
+    assert decode_frame(encode_frame(packed)) == packed
+    # one byte more than 37 bits take
+    with pytest.raises(FrameDecodeError, match="trailing bytes"):
+        decode_frame(_frame(MsgType.DECLARATION, encode_frame(packed)[5:] + b"\x00"))
+
+
+def test_declaration_pad_bits_are_ignored():
+    letters = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
+    clean = encode_frame(Declaration(letters=letters))
+    dirty = clean[:-1] + bytes([clean[-1] | 0x07])  # the three pad bits set
+    assert dirty != clean
+    assert decode_frame(dirty) == decode_frame(clean) == Declaration(letters=letters)
+    assert decode_frame(dirty).letters.tolist() == letters.tolist()
+
+
+def test_session_sifts_a_declaration_with_pad_bits_as_the_clean_one(monkeypatch):
+    # 35 * 3 = 105 letters: the last byte holds one letter and seven pad bits
+    cfg = make_config(n_items=35, substrings=3)
+    database = random_database(cfg.n_items, 4)
+    clean_bob, clean_alice = run_local_session(cfg, database, 6)
+    honest = protocol.Sender.declaration
+
+    def with_pad_bits(sender):
+        letters = honest(sender)
+        letters[-1] |= 0x7F
+        return letters
+
+    monkeypatch.setattr(protocol.Sender, "declaration", with_pad_bits)
+    declared = []
+    bob, alice = run_local_session(
+        cfg, database, 6,
+        audit_bob=lambda direction, msg: declared.extend([msg] * isinstance(msg, Declaration)),
+    )
+    assert encode_frame(declared[0])[-1] & 0x7F == 0x7F  # the pad bits went out
+    for name in ("packed_mask", "packed_alice"):
+        assert getattr(alice.raw, name).tobytes() == getattr(clean_alice.raw, name).tobytes()
+    assert alice.raw.packed_mask[-1] & 0x7F == 0  # and were not taken in
+    assert np.array_equal(alice.final.alice_mask, clean_alice.final.alice_mask)
+    assert np.array_equal(alice.final.alice_bits, clean_alice.final.alice_bits)
+    assert alice.report.to_json() == clean_alice.report.to_json()
+    assert bob.report.to_json() == clean_bob.report.to_json()
+    assert alice.retrieved_bit == database[6]
+
+
+class ChunkedConn:
+    """A connected stream holding the given bytes that hands out at most
+    chunk bytes per recv, so every frame arrives in several short reads."""
+
+    def __init__(self, data, chunk):
+        self._data = data
+        self._chunk = chunk
+        self.sent = []
+
+    def gettimeout(self):
+        return None
+
+    def recv(self, size):
+        size = min(size, self._chunk)
+        out, self._data = self._data[:size], self._data[size:]
+        return out
+
+    def sendall(self, data):
+        self.sent.append(data)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 4096])
+def test_frames_read_in_short_reads_stay_aligned(chunk):
+    rng = np.random.default_rng(9)
+    frames = [
+        OutcomeBatch(received=rng.random(21) >= 0.3, outcomes=rng.random(21) >= 0.5),
+        Declaration(letters=(rng.random(37) >= 0.5).astype(np.uint8)),
+        Shift(shift=2),
+        Ciphertext(bits=(rng.random(11) >= 0.5).astype(np.uint8)),
+    ]
+    conn = ChunkedConn(b"".join(encode_frame(m) for m in frames), chunk)
+    stream = wire.FrameStream(conn)
+    assert [stream.recv() for _ in frames] == frames
+    assert conn.sent == []  # no ERROR frame went back
+
+
+def _alice_against(cfg, declare):
+    """Alice's abort when an honest Bob's rounds end in the declaration
+    that declare(sender) builds; returns her exception and the frame he
+    receives after it."""
+    left, right = socket.socketpair()
+    alice_error = {}
+
+    def alice():
+        try:
+            run_alice_endpoint(cfg, 3, left)
+        except ProtocolAbort as exc:
+            alice_error["exc"] = exc
+        finally:
+            left.close()
+
+    thread = threading.Thread(target=alice)
+    thread.start()
+    with right:
+        fs = wire.FrameStream(right)
+        fs.expect(Hello)
+        sender = protocol.Sender(cfg)
+        while not sender.done:
+            fs.expect(PhotonBatchReq)
+            received, outcomes = sender.transmit(fs.expect(MeasureSubmit).bases)
+            fs.send(OutcomeBatch(received=received, outcomes=outcomes))
+        fs.send(declare(sender))
+        reply = fs.recv()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    return alice_error.get("exc"), reply
+
+
+@pytest.mark.parametrize("extra", [-1, 1, 8])
+def test_declaration_of_the_wrong_length_aborts_the_receiver(extra):
+    cfg = make_config()
+
+    def declare(sender):
+        letters = np.unpackbits(sender.declaration(), count=cfg.raw_length)
+        return Declaration(letters=np.resize(letters, cfg.raw_length + extra))
+
+    exc, reply = _alice_against(cfg, declare)
+    assert exc.code == wire.ERR_BAD_PARAMS
+    assert "declaration length" in str(exc)
+    assert isinstance(reply, Error) and reply.code == wire.ERR_BAD_PARAMS
 
 
 # --- endpoint sessions ---------------------------------------------------------------
