@@ -237,10 +237,10 @@ def test_frames_read_in_short_reads_stay_aligned(chunk):
     assert conn.sent == []  # no ERROR frame went back
 
 
-def _alice_against(cfg, declare):
-    """Alice's abort when an honest Bob's rounds end in the declaration
-    that declare(sender) builds; returns her exception and the frame he
-    receives after it."""
+@pytest.mark.parametrize("extra", [-1, 1, 8])
+def test_declaration_of_the_wrong_length_aborts_the_receiver(extra):
+    # an honest Bob's rounds, then a declaration of raw_length + extra letters
+    cfg = make_config()
     left, right = socket.socketpair()
     alice_error = {}
 
@@ -262,24 +262,13 @@ def _alice_against(cfg, declare):
             fs.expect(PhotonBatchReq)
             received, outcomes = sender.transmit(fs.expect(MeasureSubmit).bases)
             fs.send(OutcomeBatch(received=received, outcomes=outcomes))
-        fs.send(declare(sender))
+        letters = np.unpackbits(sender.declaration(), count=cfg.raw_length)
+        fs.send(Declaration(letters=np.resize(letters, cfg.raw_length + extra)))
         reply = fs.recv()
     thread.join(timeout=30)
     assert not thread.is_alive()
-    return alice_error.get("exc"), reply
-
-
-@pytest.mark.parametrize("extra", [-1, 1, 8])
-def test_declaration_of_the_wrong_length_aborts_the_receiver(extra):
-    cfg = make_config()
-
-    def declare(sender):
-        letters = np.unpackbits(sender.declaration(), count=cfg.raw_length)
-        return Declaration(letters=np.resize(letters, cfg.raw_length + extra))
-
-    exc, reply = _alice_against(cfg, declare)
-    assert exc.code == wire.ERR_BAD_PARAMS
-    assert "declaration length" in str(exc)
+    assert alice_error["exc"].code == wire.ERR_BAD_PARAMS
+    assert "declaration length" in str(alice_error["exc"])
     assert isinstance(reply, Error) and reply.code == wire.ERR_BAD_PARAMS
 
 
