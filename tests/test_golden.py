@@ -1,24 +1,27 @@
-"""Golden digests: sessions whose every output must stay bit for bit.
+"""Golden digests: seeded outputs that must stay bit for bit.
 
-Each case runs one seeded session, in process (run_session) or over the
-wire (run_local_session), at one protocol.ROUND, and hashes what it
+A session case runs one seeded session, in process (run_session) or over
+the wire (run_local_session), at one protocol.ROUND, and hashes what it
 yields: the keys and masks, the report JSON, the retrieved bit, the class,
 code and message of an abort, and, on the wire, every frame each endpoint
-sends. tests/golden.json holds one SHA-256 per case. A change that moves
-any of these outputs fails here; one that means to must say so and
-regenerate the file with
+sends. An attack case hashes the report JSON of one Monte Carlo attack at
+a fixed generator seed; an out case hashes every file one CLI command
+writes to --out. tests/golden.json holds one SHA-256 per case. A change
+that moves any of these outputs fails here; one that means to must say so
+and regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qpqsim import protocol, wire
+from qpqsim import attacks, cli, protocol, wire
 from qpqsim.errors import QpqError
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -39,8 +42,38 @@ CONFIGS = {
     "exhausted": dict(n_items=9, substrings=4, theta=0.5, loss_rate=0.1,
                       source_seed=1, channel_seed=2, measure_seed=3, max_restarts=1),
 }
-CASES = [f"{mode}-{name}-round{size}"
-         for mode in ("inproc", "wire") for name in CONFIGS for size in ROUNDS]
+SESSION_CASES = [f"{mode}-{name}-round{size}"
+                 for mode in ("inproc", "wire") for name in CONFIGS for size in ROUNDS]
+
+# Monte Carlo attacks at a fixed generator seed; each crosses a round of
+# protocol.ROUND photons.
+ATTACKS = {
+    "attack-usd-k1": lambda rng: attacks.alice_individual_usd(
+        50, 0.7, 1, trials=70_000, rng=rng),
+    "attack-usd-k3": lambda rng: attacks.alice_individual_usd(
+        50, 1.1, 3, trials=30_000, rng=rng),
+    "attack-bob-conclusive": lambda rng: attacks.bob_conclusiveness_attack(
+        0.3, True, trials=70_000, rng=rng),
+    "attack-bob-inconclusive": lambda rng: attacks.bob_conclusiveness_attack(
+        1.2, False, trials=70_000, rng=rng),
+}
+
+# CLI commands whose --out files are hashed
+OUT_TRIALS = ["--trials", "20000", "--seed", "5"]
+COMMANDS = {
+    "out-attack-usd": ["attack", "--kind", "usd", "--theta", "0.9", "--k", "2", *OUT_TRIALS],
+    "out-attack-helstrom": ["attack", "--kind", "helstrom", "--theta", "0.3", "--k", "4"],
+    "out-attack-joint-usd": ["attack", "--kind", "joint-usd", "--theta", "0.3", "--k", "5"],
+    "out-attack-bob": ["attack", "--kind", "bob", "--theta", "0.6", "--want", "inconclusive",
+                       "--format", "csv", *OUT_TRIALS],
+    **{f"out-figures-{which}": ["figures", "--which", which, "--N", "1000"]
+       for which in ("F1", "F2", "F3", "F4", "F5")},
+    "out-tables": ["tables"],
+    "out-run": ["run", "--N", "203", "--k", "2", "--theta", "0.8", "--loss", "0.1",
+                "--seed", "17", "--item", "150"],
+}
+
+CASES = SESSION_CASES + list(ATTACKS) + list(COMMANDS)
 
 
 class Digest:
@@ -103,7 +136,30 @@ def _run_wire(digest, config, database, target):
         digest.add(endpoint, len(sent[endpoint]), *sent[endpoint])
 
 
+def _attack_digest(case):
+    report = ATTACKS[case](np.random.default_rng(2024))
+    digest = Digest()
+    digest.add(report.to_json())
+    return digest.hexdigest()
+
+
+def _out_digest(case):
+    # the file names carry a hash of every flag, --out among them, so only
+    # their extensions are hashed with the contents
+    digest = Digest()
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.main(COMMANDS[case] + ["--out", out]) == cli.EXIT_OK
+        for path in sorted(Path(out).iterdir()):
+            name = path.name if case == "out-tables" else path.suffix
+            digest.add(name, path.read_bytes())
+    return digest.hexdigest()
+
+
 def case_digest(case):
+    if case in ATTACKS:
+        return _attack_digest(case)
+    if case in COMMANDS:
+        return _out_digest(case)
     mode, rest = case.split("-", 1)
     name, size = rest.rsplit("-round", 1)
     config = protocol.SessionConfig(**CONFIGS[name])
