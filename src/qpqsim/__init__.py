@@ -21,7 +21,6 @@ from .protocol import (
     SessionReport,
     run_key_distribution,
     run_session,
-    sift,
     xor_compress,
 )
 from .qubits import (
@@ -61,7 +60,6 @@ __all__ = [
     "plan_min_k",
     "run_key_distribution",
     "run_session",
-    "sift",
     "solve_theta",
     "table_generator",
     "trace_distance",

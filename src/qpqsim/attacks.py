@@ -24,12 +24,11 @@ from .errors import CapacityError, DomainError
 from .planner import MAX_SUBSTRINGS
 from .qubits import (
     AttackLabel,
-    Basis,
     CarrierLabel,
     DensityMatrix,
     _check_theta,
+    _outcome0_table,
     attack_state,
-    basis_states,
     carrier_state,
     fidelity,  # re-exported: perfbench/test_bench.py checks attacks.fidelity
 )
@@ -258,12 +257,7 @@ def bob_conclusiveness_attack(theta, want_conclusive, trials=DEFAULT_TRIALS, rng
 
     # P(outcome 0 | attack state, basis): both half-angle states are
     # symmetric between the two conclusive branches.
-    p0_attack = np.empty((2, 2), dtype=np.float64)
-    for a in AttackLabel:
-        psi = attack_state(a, theta)
-        for basis in Basis:
-            b0, _ = basis_states(basis, theta)
-            p0_attack[a, basis] = abs(b0.overlap(psi)) ** 2
+    p0_attack = _outcome0_table([attack_state(a, theta).amps for a in AttackLabel], theta)
 
     coins = _coins(rng, 2 * trials)
     hits = ones = 0
@@ -295,23 +289,6 @@ def bob_conclusiveness_attack(theta, want_conclusive, trials=DEFAULT_TRIALS, rng
             "inferred_one_fraction": ones / hits if hits else None,
         },
     )
-
-
-def conclusive_branch_weights(theta, want_conclusive=True):
-    """Born weights of the two conclusive branches under the sender attack;
-    equal weights mean the inferred bit carries no information."""
-    _check_theta(theta)
-    psi = attack_state(AttackLabel.A0PP, theta)
-    announce = 1 if want_conclusive else 0
-    weights = {}
-    for basis in Basis:
-        states = basis_states(basis, theta)
-        for outcome in (0, 1):
-            if outcome == announce:
-                continue  # inconclusive branch
-            bit = 1 if basis is Basis.B else 0
-            weights[bit] = 0.5 * abs(states[outcome].overlap(psi)) ** 2
-    return weights
 
 
 # --- figure series -------------------------------------------------------------

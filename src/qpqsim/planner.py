@@ -115,41 +115,6 @@ def plan_min_k(n_items, target_known, theta_min, theta_max=THETA_CAP):
     )
 
 
-@dataclass(frozen=True)
-class KnownCountDistribution:
-    """Exact Binomial(N, p^k) law of the known-bit count, with its Poisson
-    companion, truncated once the binomial mass reaches 1 - 1e-12."""
-
-    counts: np.ndarray
-    binomial: np.ndarray
-    poisson: np.ndarray
-
-    def total_variation(self):
-        return float(0.5 * np.sum(np.abs(self.binomial - self.poisson)))
-
-
-def known_count_distribution(n_items, p, substrings):
-    from scipy import stats  # slow to import, and only needed here
-    _check_args(n_items, p, substrings)
-    q = p ** substrings
-    mean = n_items * q
-    hi = int(min(n_items, max(10, math.ceil(mean + 12 * math.sqrt(mean + 1)))))
-    counts = np.arange(hi + 1)
-    binom = stats.binom.pmf(counts, n_items, q)
-    while binom.sum() < 1.0 - 1e-12 and hi < n_items:
-        hi = min(n_items, hi * 2)
-        counts = np.arange(hi + 1)
-        binom = stats.binom.pmf(counts, n_items, q)
-    cut = int(np.searchsorted(np.cumsum(binom), 1.0 - 1e-12)) + 1
-    cut = min(cut, counts.size)
-    counts = counts[:cut]
-    return KnownCountDistribution(
-        counts=counts,
-        binomial=binom[:cut],
-        poisson=stats.poisson.pmf(counts, mean),
-    )
-
-
 # --- reference tables -------------------------------------------------------
 #
 # Each table is recomputed from the formulas above; the embedded printed

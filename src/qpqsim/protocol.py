@@ -34,10 +34,11 @@ import numpy as np
 
 from ._kernels import simulate_transmission
 from .errors import DomainError, EmptyKeyMaskError, ResourceError
-from .qubits import Basis, _check_theta, born_outcome0_tables
+from .qubits import _check_theta, born_outcome0_tables
 
 PHOTON_CAP = 10 ** 9  # safety cap per session attempt
 ROUND = 65536  # most photons per transmission round, in-process and on the wire
+PUBLIC_CONFIG = ("n_items", "substrings", "theta", "loss_rate")  # what HELLO carries
 
 
 @dataclass(frozen=True)
@@ -81,21 +82,6 @@ def query_stream(config, attempt=0):
     """Receiver-side stream for the query-stage known-index pick,
     independent of how many photons were measured."""
     return stream(config.measure_seed, attempt, tag=1)
-
-
-def sift(basis, outcome, declaration):
-    """Interpret one measurement against the announced letter.
-
-    The announcement narrows the carrier to two candidates: the unprimed
-    letter state (coded bit 0) and its primed partner (coded bit 1). The
-    observed eigenstate is orthogonal to exactly one candidate when the
-    outcome index differs from the announced letter; the surviving
-    candidate's coded bit is then certain. Returns that bit, or None when
-    both candidates remain consistent. The scalar reference for sift_batch.
-    """
-    if outcome == declaration:
-        return None
-    return 1 if Basis(basis) is Basis.B else 0
 
 
 # --- packed bit arrays ---------------------------------------------------------
@@ -249,6 +235,10 @@ class SessionReport:
     success: bool = False
 
     def to_dict(self, public_only=False):
+        """The whole report, or with public_only only what both endpoints
+        know and must agree on: the HELLO-negotiated PUBLIC_CONFIG, every
+        counter but the receiver's known-bit count, and the query's
+        public half."""
         doc = {
             "config": self.config.to_dict(),
             "photons_sent": self.photons_sent,
@@ -259,6 +249,9 @@ class SessionReport:
             "query": None,
             "success": self.success,
         }
+        if public_only:
+            del doc["known_final_count"]
+            doc["config"] = {key: doc["config"][key] for key in PUBLIC_CONFIG}
         if self.query is not None:
             doc["query"] = (
                 self.query.to_public_dict() if public_only else self.query.to_dict()

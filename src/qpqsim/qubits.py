@@ -144,19 +144,6 @@ def attack_state(which, theta):
     return StateVector(np.array([s, -c], dtype=complex))
 
 
-def basis_states(basis, theta):
-    """The two orthonormal outcome states of a measurement basis."""
-    if Basis(basis) is Basis.B:
-        return (
-            StateVector(np.array([1.0, 0.0], dtype=complex)),
-            StateVector(np.array([0.0, 1.0], dtype=complex)),
-        )
-    return (
-        carrier_state(CarrierLabel.K0P, theta),
-        carrier_state(CarrierLabel.K1P, theta),
-    )
-
-
 def fidelity(rho, sigma):
     """Square-root fidelity F = tr sqrt(sqrt(rho) sigma sqrt(rho)).
 
@@ -184,6 +171,18 @@ def trace_distance(rho, sigma):
     return float(0.5 * np.sum(np.abs(ev)))
 
 
+def _outcome0_table(states, theta):
+    """P(outcome 0 | state, basis) for each row of state amplitudes and
+    each basis, as a C-contiguous (rows, 2) float array."""
+    carriers = _carrier_amps(theta)
+    table = np.empty((len(states), 2), dtype=np.float64)
+    for row, amps in enumerate(states):
+        for basis in Basis:
+            # the outcome-0 states of B and B' are the K0 and K0' carriers
+            table[row, basis] = abs(np.vdot(carriers[2 * basis], amps)) ** 2
+    return table
+
+
 def born_outcome0_tables(theta):
     """Probability of outcome 0 for every (carrier label, basis) pair.
 
@@ -191,11 +190,4 @@ def born_outcome0_tables(theta):
     vectorized transmission kernel.
     """
     _check_theta(theta)
-    carriers = _carrier_amps(theta)
-    table = np.empty((4, 2), dtype=np.float64)
-    for label in CarrierLabel:
-        for basis in Basis:
-            # the outcome-0 states of B and B' are the K0 and K0' carriers
-            b0 = carriers[2 * basis]
-            table[label, basis] = abs(np.vdot(b0, carriers[label])) ** 2
-    return table
+    return _outcome0_table(_carrier_amps(theta), theta)

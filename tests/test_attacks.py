@@ -6,13 +6,13 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
+from oracles import conclusive_branch_weights
 
 from qpqsim import attacks, planner, protocol
 from qpqsim.attacks import (
     AttackReport,
     alice_individual_usd,
     bob_conclusiveness_attack,
-    conclusive_branch_weights,
     fig_data,
     helstrom_guess,
     joint_usd_bound,

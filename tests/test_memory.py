@@ -5,16 +5,30 @@ photon, so the largest T4 session, N = 10^6 and k = 4, must fit well
 inside the 12 MiB this test allows for everything it allocates (the
 inputs are built before tracing starts). With one byte per retained
 photon in each of its arrays it traced about 24 MiB in both modes.
+
+A received frame is held once too, in the one buffer it is read into.
 """
 
+import socket
+import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qpqsim import planner, protocol, wire
 
 N_ITEMS = 10 ** 6
 LIMIT = 12 << 20
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _in_process(config, database, target):
@@ -34,11 +48,24 @@ def test_largest_t4_session_peaks_under_12_mib(run):
     config = protocol.SessionConfig(n_items=N_ITEMS, substrings=4, theta=plan.theta)
     database = protocol.random_database(N_ITEMS, 1)
     target = 123457
-    tracemalloc.start()
-    try:
-        retrieved = run(config, database, target)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    retrieved, peak = _traced_peak(lambda: run(config, database, target))
     assert retrieved == database[target]
     assert peak <= LIMIT, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_received_frame_is_read_into_one_buffer():
+    # a DECLARATION of k*N = 4*10^6 letters; joining its chunks and
+    # prepending its header held it twice
+    count = 4 * N_ITEMS
+    body = np.full(count // 8, 0xA5, dtype=np.uint8)
+    frame = wire.encode_frame(wire.Declaration(count=count, body=body))
+    assert len(frame) == 500_009
+    left, right = socket.socketpair()
+    with left, right:
+        sender = threading.Thread(target=left.sendall, args=(frame,))
+        sender.start()
+        msg, peak = _traced_peak(wire.FrameStream(right).recv)
+        sender.join(timeout=30)
+    assert not sender.is_alive()
+    assert msg.count == count and msg.body.tobytes() == body.tobytes()
+    assert peak <= 1.1 * len(frame), f"traced peak {peak / len(frame):.3f} x the frame"

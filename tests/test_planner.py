@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import known_count_distribution
 
 import qpqsim
 from qpqsim import planner
@@ -137,24 +138,35 @@ def test_plan_result_internal_consistency():
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import and only known_count_distribution uses it
+    # the package runs on numpy alone: with scipy made unimportable, the
+    # package, its CLI and every submodule still import
     src = os.path.dirname(os.path.dirname(qpqsim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, qpqsim, qpqsim.cli; print('scipy.stats' in sys.modules)"
+    probe = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import qpqsim, qpqsim.cli\n"
+        "names = [m.name for m in pkgutil.iter_modules(qpqsim.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('qpqsim.' + name)\n"
+        "print(' '.join(sorted(names)), 'scipy.stats' in sys.modules)\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == [
+        "_kernels", "attacks", "cli", "errors", "planner", "protocol", "qubits", "wire", "False"
+    ]
 
 
 def test_known_count_distribution_identities():
-    dist = planner.known_count_distribution(1000, 0.15, 3)
+    dist = known_count_distribution(1000, 0.15, 3)
     assert dist.binomial[0] == pytest.approx(
         planner.failure_probability(1000, 0.15, 3), abs=1e-12
     )
     assert dist.binomial.sum() >= 1 - 1e-12
     assert dist.total_variation() < 0.01
-    bern = planner.known_count_distribution(1, 0.3, 2)
+    bern = known_count_distribution(1, 0.3, 2)
     assert bern.binomial[0] == pytest.approx(1 - 0.09, abs=1e-12)
     assert bern.binomial[1] == pytest.approx(0.09, abs=1e-12)
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import sift
 
 from qpqsim import planner, protocol, wire
 from qpqsim.errors import (
@@ -20,7 +21,7 @@ from qpqsim.protocol import (
     run_key_distribution,
     run_session,
     save_database_hex,
-    sift,
+    sift_batch,
     xor_compress,
 )
 from qpqsim.qubits import Basis, CarrierLabel, born_outcome0_tables
@@ -83,6 +84,24 @@ def test_sift_exhaustive_truth_table():
                             f"{label} {basis} outcome={outcome}"
                         )
         assert conclusive_cases == 8
+
+
+def test_sift_batch_matches_the_scalar_sift_per_photon():
+    # random pad bits in the letters count for nothing, and both packed
+    # outputs keep their pad bits zero
+    rng = np.random.default_rng(2011)
+    for count in range(1, 41):
+        for _ in range(5):
+            bases, outcomes, letters = rng.integers(0, 2, (3, count), dtype=np.uint8)
+            declared = np.packbits(letters)
+            declared[-1] |= rng.integers(0, 256) & ((1 << (-count % 8)) - 1)
+            mask, bits = sift_batch(np.packbits(bases), np.packbits(outcomes), declared, count)
+            mask, bits = np.unpackbits(mask), np.unpackbits(bits)
+            for i in range(count):
+                verdict = sift(int(bases[i]), int(outcomes[i]), int(letters[i]))
+                assert mask[i] == (verdict is not None)
+                assert bits[i] == (verdict or 0)
+            assert not mask[count:].any() and not bits[count:].any()
 
 
 # --- compression ----------------------------------------------------------------
@@ -352,6 +371,11 @@ def test_report_json_is_canonical_and_stable():
     public = json.loads(report.to_json(public_only=True))
     assert "target_index" not in public["query"]
     assert "retrieved_bit" not in public["query"]
+    # the public view holds only what both endpoints know and must agree on
+    assert public == wire.public_report_fields(report)
+    assert "known_final_count" not in public and "known_final_count" in parsed
+    assert sorted(public["config"]) == ["loss_rate", "n_items", "substrings", "theta"]
+    assert sorted(public["query"]) == ["ciphertext", "shift"]
 
 
 def test_database_file_round_trip(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import basis_states
 
 from qpqsim import planner
 from qpqsim.errors import CapacityError, DomainError
@@ -12,7 +13,6 @@ from qpqsim.qubits import (
     DensityMatrix,
     StateVector,
     attack_state,
-    basis_states,
     born_outcome0_tables,
     carrier_state,
     fidelity,

@@ -118,6 +118,21 @@ def test_oversize_frame_rejected():
     big = Ciphertext(bits=np.ones(wire.MAX_FRAME_LENGTH * 8 + 64, dtype=np.uint8))
     with pytest.raises(CapacityError):
         encode_frame(big)
+    # at the cap exactly: an ERROR frame's length is its tag byte, its code
+    # byte and the message
+    fill = "x" * (wire.MAX_FRAME_LENGTH - 2)
+    assert len(encode_frame(Error(code=1, message=fill))) == 4 + wire.MAX_FRAME_LENGTH
+    with pytest.raises(CapacityError):
+        encode_frame(Error(code=1, message=fill + "x"))
+
+
+def test_length_over_the_cap_aborts_before_the_body_is_read():
+    header = (wire.MAX_FRAME_LENGTH + 1).to_bytes(4, "big") + bytes([MsgType.CIPHERTEXT])
+    conn = ChunkedConn(header + b"\x00" * 64, 4096)
+    with pytest.raises(ProtocolAbort) as exc:
+        wire.FrameStream(conn).recv()
+    assert exc.value.code == wire.ERR_DECODE
+    assert conn.data == b"\x00" * 64
 
 
 def _frame(tag, payload):
@@ -203,20 +218,22 @@ def test_session_sifts_a_declaration_with_pad_bits_as_the_clean_one(monkeypatch)
 
 class ChunkedConn:
     """A connected stream holding the given bytes that hands out at most
-    chunk bytes per recv, so every frame arrives in several short reads."""
+    chunk bytes per recv_into, so every frame arrives in several short
+    reads; data holds the bytes not yet read."""
 
     def __init__(self, data, chunk):
-        self._data = data
+        self.data = data
         self._chunk = chunk
         self.sent = []
 
     def gettimeout(self):
         return None
 
-    def recv(self, size):
-        size = min(size, self._chunk)
-        out, self._data = self._data[:size], self._data[size:]
-        return out
+    def recv_into(self, buffer):
+        size = min(len(buffer), self._chunk)
+        out, self.data = self.data[:size], self.data[size:]
+        buffer[:len(out)] = out
+        return len(out)
 
     def sendall(self, data):
         self.sent.append(data)
