@@ -18,7 +18,7 @@ import pytest
 from oracles import known_count_distribution, sift
 from scipy import stats
 
-from qpqsim import attacks, planner, protocol, wire
+from qpqsim import attacks, planner, wire
 from qpqsim.protocol import SessionConfig, random_database, run_key_distribution, run_session
 from qpqsim.qubits import Basis, CarrierLabel, born_outcome0_tables, trace_distance
 
