@@ -4,18 +4,22 @@ A session case runs one seeded session, in process (run_session) or over
 the wire (run_local_session), at one protocol.ROUND, and hashes what it
 yields: the keys and masks, the report JSON, the retrieved bit, the class,
 code and message of an abort, and, on the wire, every frame each endpoint
-sends. An attack case hashes the report JSON of one Monte Carlo attack at
-a fixed generator seed; an out case hashes every file one CLI command
-writes to --out. tests/golden.json holds one SHA-256 per case. A change
-that moves any of these outputs fails here; one that means to must say so
-and regenerate the file with
+sends. The server case hashes WireServer.outcomes and what each of four
+clients it serves one after another gets. An attack case hashes the
+report JSON of one Monte Carlo attack at a fixed generator seed; an out
+case hashes every file one CLI command writes to --out. tests/golden.json
+holds one SHA-256 per case. A change that moves any of these outputs
+fails here; one that means to must say so and regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
 import json
+import socket
 import tempfile
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,12 +72,18 @@ COMMANDS = {
                        "--format", "csv", *OUT_TRIALS],
     **{f"out-figures-{which}": ["figures", "--which", which, "--N", "1000"]
        for which in ("F1", "F2", "F3", "F4", "F5")},
+    **{f"out-figures-{which}-csv": ["figures", "--which", which, "--N", "1000", "--format", "csv"]
+       for which in ("F1", "F2", "F3", "F4", "F5")},
+    "out-plan": ["plan", "--N", "5000", "--nbar", "3"],
+    "out-plan-csv": ["plan", "--N", "5000", "--nbar", "3", "--k", "2", "--format", "csv"],
     "out-tables": ["tables"],
     "out-run": ["run", "--N", "203", "--k", "2", "--theta", "0.8", "--loss", "0.1",
                 "--seed", "17", "--item", "150"],
 }
 
-CASES = SESSION_CASES + list(ATTACKS) + list(COMMANDS)
+SERVER_CASE = "server-four-clients"
+
+CASES = SESSION_CASES + [SERVER_CASE] + list(ATTACKS) + list(COMMANDS)
 
 
 class Digest:
@@ -136,6 +146,36 @@ def _run_wire(digest, config, database, target):
         digest.add(endpoint, len(sent[endpoint]), *sent[endpoint])
 
 
+def _server_digest():
+    # clients in turn, so each is accepted with its own index: two honest
+    # ones, one whose HELLO does not match, one that hangs up mid-round
+    config = protocol.SessionConfig(n_items=61, substrings=2, theta=1.0, loss_rate=0.1,
+                                    source_seed=31, channel_seed=32, measure_seed=33)
+    database = protocol.random_database(config.n_items, config.source_seed)
+    server = wire.WireServer("127.0.0.1", 0, config, database, sessions=4)
+    thread = threading.Thread(target=server.serve)
+    thread.start()
+    digest = Digest()
+    try:
+        for item, client_config in ((5, config), (0, replace(config, theta=1.4)), (30, config)):
+            with socket.create_connection(("127.0.0.1", server.port)) as conn:
+                try:
+                    alice = wire.run_alice_endpoint(client_config, item, conn)
+                except QpqError as exc:
+                    _abort(digest, exc)
+                else:
+                    digest.add(alice.report.to_json(), alice.retrieved_bit)
+        with socket.create_connection(("127.0.0.1", server.port)) as conn:
+            fs = wire.FrameStream(conn)
+            fs.send(wire._hello(config))
+            fs.send(wire.PhotonBatchReq(count=100))
+    finally:
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    digest.add(sorted(server.outcomes.items()))
+    return digest.hexdigest()
+
+
 def _attack_digest(case):
     report = ATTACKS[case](np.random.default_rng(2024))
     digest = Digest()
@@ -156,6 +196,8 @@ def _out_digest(case):
 
 
 def case_digest(case):
+    if case == SERVER_CASE:
+        return _server_digest()
     if case in ATTACKS:
         return _attack_digest(case)
     if case in COMMANDS:
