@@ -174,11 +174,11 @@ def _rounds(trials, per_trial):
 
 
 def _coins(rng, count):
-    """count fair coins from one read of ceil(count / 8) bytes, packed
-    eight to a byte: coin i is bit 7 - i % 8 of byte i // 8 (numpy's
-    unpackbits order). Generator.bytes serves any bit generator, where
+    """count fair coins as the Bits whose body is one read of
+    ceil(count / 8) bytes. Generator.bytes serves any bit generator, where
     raw words need not fill 64 bits (MT19937's are 32)."""
-    return np.frombuffer(rng.bytes(-(-count // 8)), dtype=np.uint8)
+    size = protocol.Bits.body_size(count)
+    return protocol.Bits(count, np.frombuffer(rng.bytes(size), dtype=np.uint8))
 
 
 def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=None):
@@ -209,7 +209,7 @@ def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=
     wrong = known = 0
     for part in _rounds(trials, substrings):
         u = rng.random(part.stop - part.start)
-        codes = usd_trials(u, protocol._unpack(truth, part.start, part.stop), p_wrong, p_right)
+        codes = usd_trials(u, truth.unpack(part.start, part.stop), p_wrong, p_right)
         wrong += int(np.count_nonzero(codes == 2))
         # AND the k columns: np.all over rows of k is several times slower
         success = (codes == 1).reshape(-1, substrings)
@@ -263,8 +263,8 @@ def bob_conclusiveness_attack(theta, want_conclusive, trials=DEFAULT_TRIALS, rng
     hits = ones = 0
     for part in _rounds(trials, 1):
         conclusive, bits = conclusiveness_trials(
-            protocol._unpack(coins, part.start, part.stop),
-            protocol._unpack(coins, trials + part.start, trials + part.stop),
+            coins.unpack(part.start, part.stop),
+            coins.unpack(trials + part.start, trials + part.stop),
             rng.random(part.stop - part.start),
             p0_attack,
             bool(want_conclusive),

@@ -237,7 +237,7 @@ def check_tables():
 def _theta_series(points, solve):
     """One series per substring count 1..6 of the theta that solve(k, x)
     returns at each point x, skipping points no theta inside the protocol
-    reaches."""
+    reaches. Raises InfeasibleError when no point is left."""
     series = []
     for k in range(1, 7):
         xs, ys = [], []
@@ -252,6 +252,8 @@ def _theta_series(points, solve):
             ys.append(theta)
         if xs:
             series.append({"label": f"k={k}", "x": np.array(xs), "y": np.array(ys)})
+    if not series:
+        raise InfeasibleError("no substring count 1..6 has a theta inside (0, pi/2) at any point")
     return series
 
 

@@ -9,9 +9,8 @@ N-bit final key; a single announced shift then aligns one of her known
 bits with the database item she wants.
 
 Every k*N array of a session (the sender's truth bits and letters, the
-receiver's kept bases and outcomes, her mask and decoded bits) is held
-packed, one bit per retained photon in np.packbits order, with the pad
-bits of the last byte zero: each round packs its retained photons into
+receiver's kept bases and outcomes, her mask and decoded bits) is a Bits,
+one bit per retained photon: each round packs its retained photons into
 place, the sift works byte-wise, and the fold reads whole substrings.
 Only the N-bit final keys take a byte per bit.
 
@@ -87,27 +86,52 @@ def query_stream(config, attempt=0):
 # --- packed bit arrays ---------------------------------------------------------
 
 
-def _packed_size(count):
-    return -(-count // 8)
+class Bits:
+    """count bits and their body, packed eight to a byte in np.packbits
+    order: bit i is bit 7 - i % 8 of byte i // 8. The pad bits of the last
+    byte are zero in every Bits the package packs; a body taken as it is,
+    from a frame or a generator, may carry any, and unpack and == ignore
+    them. Bits(count) is all zeros."""
 
+    __slots__ = ("count", "body")
 
-def _unpack(packed, start, stop):
-    """Bits start to stop (exclusive) of a packbits array, as a bool array."""
-    first = start // 8
-    bits = np.unpackbits(packed[first:-(-stop // 8)])
-    return bits[start - 8 * first:stop - 8 * first].view(np.bool_)
+    def __init__(self, count, body=None):
+        self.count = count
+        self.body = np.zeros(Bits.body_size(count), dtype=np.uint8) if body is None else body
 
+    @staticmethod
+    def body_size(count):
+        return -(-count // 8)
 
-def _pack_into(packed, start, bits):
-    """Write 0/1 bits to bits [start, start + bits.size) of a packbits
-    buffer that is zero from start on. The bits of a partly written byte
-    are packed again with the new ones, so any split of a bit run into
-    calls writes the same bytes."""
-    first, lead = divmod(start, 8)
-    if lead:
-        bits = np.concatenate((np.unpackbits(packed[first:first + 1], count=lead), bits))
-    chunk = np.packbits(bits)
-    packed[first:first + chunk.size] = chunk
+    @classmethod
+    def of(cls, values):
+        """The 0/1 values, packed."""
+        values = np.asarray(values, dtype=np.uint8)
+        return cls(values.size, np.packbits(values))
+
+    def __len__(self):
+        return self.count
+
+    def __eq__(self, other):
+        return isinstance(other, Bits) and np.array_equal(self.unpack(), other.unpack())
+
+    def unpack(self, start=0, stop=None):
+        """Bits start to stop (exclusive, default count), as a bool array."""
+        stop = self.count if stop is None else stop
+        first = start // 8
+        bits = np.unpackbits(self.body[first:Bits.body_size(stop)])
+        return bits[start - 8 * first:stop - 8 * first].view(np.bool_)
+
+    def put(self, start, bits):
+        """Write 0/1 bits to bits [start, start + len(bits)), which must be
+        zero from start on. The bits of a partly written byte are packed
+        again with the new ones, so any split of a bit run into calls
+        writes the same bytes."""
+        first, lead = divmod(start, 8)
+        if lead:
+            bits = np.concatenate((np.unpackbits(self.body[first:first + 1], count=lead), bits))
+        chunk = np.packbits(bits)
+        self.body[first:first + chunk.size] = chunk
 
 
 # --- keys --------------------------------------------------------------------
@@ -115,35 +139,32 @@ def _pack_into(packed, start, bits):
 
 @dataclass
 class RawKey:
-    """k*N retained coded bits, packed one bit per photon in np.packbits
-    order with zero pad bits. The sender's truth bits are ground truth;
-    the receiver holds a conclusiveness mask and her decoded values (zero
-    where unknown). bits, alice_mask and alice_bits unpack on access."""
+    """k*N retained coded bits, one per photon. The sender's truth bits
+    are ground truth; the receiver holds a conclusiveness mask and her
+    decoded values (zero where unknown). bits, alice_mask and alice_bits
+    unpack on access."""
 
-    size: int
-    packed_bits: np.ndarray | None  # sender truth; None in the receiver's view
-    packed_mask: np.ndarray
-    packed_alice: np.ndarray
+    truth: Bits | None  # None in the receiver's view
+    mask: Bits
+    alice: Bits
 
     def __len__(self):
-        return self.size
+        return len(self.mask)
 
     @property
     def bits(self):
         """uint8 sender truth, or None in the receiver's view."""
-        if self.packed_bits is None:
-            return None
-        return np.unpackbits(self.packed_bits, count=self.size)
+        return None if self.truth is None else self.truth.unpack().view(np.uint8)
 
     @property
     def alice_mask(self):
         """bool, conclusive positions."""
-        return np.unpackbits(self.packed_mask, count=self.size).view(np.bool_)
+        return self.mask.unpack()
 
     @property
     def alice_bits(self):
         """uint8, the receiver's values, zero where unknown."""
-        return np.unpackbits(self.packed_alice, count=self.size)
+        return self.alice.unpack().view(np.uint8)
 
 
 @dataclass
@@ -159,16 +180,15 @@ class FinalKey:
         return int(np.count_nonzero(self.alice_mask))
 
 
-def _fold(packed, substrings, n_items, op=np.bitwise_xor):
-    """op (XOR or AND) of the k substrings of N bits of a packed raw bit
-    array, as N bools. With N % 8 == 0 the substrings are whole rows of
-    bytes; otherwise they are unpacked one at a time."""
+def _fold(raw, substrings, n_items, op=np.bitwise_xor):
+    """op (XOR or AND) of the k substrings of N bits of the raw Bits, as N
+    bools. With N % 8 == 0 the substrings are whole rows of bytes;
+    otherwise they are unpacked one at a time."""
     if n_items % 8 == 0:
-        rows = op.reduce(packed.reshape(substrings, -1), axis=0)
-        return np.unpackbits(rows).view(np.bool_)
-    out = _unpack(packed, 0, n_items)
+        return Bits(n_items, op.reduce(raw.body.reshape(substrings, -1), axis=0)).unpack()
+    out = raw.unpack(0, n_items)
     for index in range(1, substrings):
-        op(out, _unpack(packed, index * n_items, (index + 1) * n_items), out=out)
+        op(out, raw.unpack(index * n_items, (index + 1) * n_items), out=out)
     return out
 
 
@@ -182,12 +202,12 @@ def xor_compress(raw, substrings, n_items):
         raise DomainError(
             f"raw key length {len(raw)} != substrings*n_items = {substrings * n_items}"
         )
-    mask = _fold(raw.packed_mask, substrings, n_items, np.bitwise_and)
-    alice = _fold(raw.packed_alice, substrings, n_items)
+    mask = _fold(raw.mask, substrings, n_items, np.bitwise_and)
+    alice = _fold(raw.alice, substrings, n_items)
     alice &= mask
     bits = None
-    if raw.packed_bits is not None:
-        bits = _fold(raw.packed_bits, substrings, n_items).view(np.uint8)
+    if raw.truth is not None:
+        bits = _fold(raw.truth, substrings, n_items).view(np.uint8)
     return FinalKey(bits=bits, alice_mask=mask, alice_bits=alice.view(np.uint8))
 
 
@@ -278,17 +298,18 @@ def draw_bases(measure_rng, count):
     return (measure_rng.random(count) >= 0.5).astype(np.uint8)
 
 
-def sift_batch(bases, outcomes, letters, count):
-    """Vectorized sift of count photons, byte-wise on packed arrays:
-    conclusive exactly when outcome != letter; the inferred bit is 1 in
-    the computational basis, 0 in the rotated one, and zero where
+def sift_batch(bases, outcomes, letters):
+    """Vectorized sift of the photons of three Bits of one length,
+    byte-wise: conclusive exactly when outcome != letter; the inferred bit
+    is 1 in the computational basis, 0 in the rotated one, and zero where
     inconclusive. The pad bits of the letters count for nothing: both
-    results keep theirs zero. Returns the packed mask and bits."""
-    mask = outcomes ^ letters
+    results keep theirs zero. Returns the mask and bits as Bits."""
+    count = len(bases)
+    mask = outcomes.body ^ letters.body
     mask[-1] &= 0xFF << (-count % 8) & 0xFF
-    alice_bits = ~bases
+    alice_bits = ~bases.body
     alice_bits &= mask
-    return mask, alice_bits
+    return Bits(count, mask), Bits(count, alice_bits)
 
 
 class _Party:
@@ -351,15 +372,15 @@ class Sender(_Party):
         self._channel = stream(config.channel_seed, attempt)
         self._p0 = born_outcome0_tables(config.theta)
         # a carrier label holds its coded bit (label >> 1) and letter (label & 1)
-        self.truth = np.zeros(_packed_size(config.raw_length), dtype=np.uint8)
-        self._letters = np.zeros_like(self.truth)
+        self.truth = Bits(config.raw_length)
+        self._letters = Bits(config.raw_length)
         self.final_bits = self.exchange = None
         self.conclusive_count = 0  # the receiver's, as she acknowledges it
 
     @property
     def raw_bits(self):
-        """The packed truth bits, unpacked."""
-        return np.unpackbits(self.truth, count=self.config.raw_length)
+        """The truth bits, unpacked to uint8."""
+        return self.truth.unpack().view(np.uint8)
 
     def transmit(self, bases):
         """Send one round measured in the receiver's bases; returns the
@@ -369,12 +390,12 @@ class Sender(_Party):
         )
         start, idx = self._retain(received)
         kept = labels[idx]
-        _pack_into(self.truth, start, kept >> 1)
-        _pack_into(self._letters, start, kept & 1)
+        self.truth.put(start, kept >> 1)
+        self._letters.put(start, kept & 1)
         return received, outcomes
 
     def declaration(self):
-        """The packed letters of the retained carriers; fixes the final
+        """The Bits of the retained carriers' letters; fixes the final
         key."""
         cfg = self.config
         self.final_bits = _fold(self.truth, cfg.substrings, cfg.n_items).view(np.uint8)
@@ -411,8 +432,8 @@ class Receiver(_Party):
         super().__init__(config, attempt)
         self._measure = stream(config.measure_seed, attempt)
         self._bases = self._pending = None
-        self._kept_bases = np.zeros(_packed_size(config.raw_length), dtype=np.uint8)
-        self._kept_outcomes = np.zeros_like(self._kept_bases)
+        self._kept_bases = Bits(config.raw_length)
+        self._kept_outcomes = Bits(config.raw_length)
         self.raw = self.final = self.exchange = self.retrieved_bit = None
         self.conclusive_count = 0
 
@@ -424,20 +445,18 @@ class Receiver(_Party):
     def absorb(self, received, outcomes):
         """Loss flags and outcomes of the round measured in bases()."""
         start, idx = self._retain(received)
-        _pack_into(self._kept_bases, start, self._bases[idx])
-        _pack_into(self._kept_outcomes, start, outcomes[idx])
+        self._kept_bases.put(start, self._bases[idx])
+        self._kept_outcomes.put(start, outcomes[idx])
 
     def sift(self, letters):
-        """Sift against the packed declared letters, whose pad bits count
-        for nothing, and fold; returns the conclusive count."""
+        """Sift against the Bits of the declared letters, whose pad bits
+        count for nothing, and fold; returns the conclusive count."""
         cfg = self.config
-        mask, alice_bits = sift_batch(
-            self._kept_bases, self._kept_outcomes, letters, cfg.raw_length
-        )
+        mask, alice_bits = sift_batch(self._kept_bases, self._kept_outcomes, letters)
         self._bases = self._kept_bases = self._kept_outcomes = None
-        self.raw = RawKey(cfg.raw_length, None, mask, alice_bits)
+        self.raw = RawKey(None, mask, alice_bits)
         self.final = xor_compress(self.raw, cfg.substrings, cfg.n_items)
-        self.conclusive_count = int(np.bitwise_count(mask).sum())
+        self.conclusive_count = int(np.bitwise_count(mask.body).sum())
         return self.conclusive_count
 
     def query(self, target_index):
@@ -488,7 +507,7 @@ def _distribute(config):
         sender, receiver = _single_pass(config, attempt)
         if receiver.final.known_count:
             break
-    raw = replace(receiver.raw, packed_bits=sender.truth)
+    raw = replace(receiver.raw, truth=sender.truth)
     final = replace(receiver.final, bits=sender.final_bits)
     return sender, receiver, raw, final
 
@@ -504,6 +523,15 @@ def run_key_distribution(config):
     return raw, final, receiver.report
 
 
+def check_database(config, database):
+    """The database as uint8 bits, which must number N; every mode checks
+    it before the first photon."""
+    database = np.asarray(database, dtype=np.uint8)
+    if database.size != config.n_items:
+        raise DomainError(f"database has {database.size} bits, key has {config.n_items}")
+    return database
+
+
 def check_target(config, target_index):
     """The receiver's target must index the N-item database; every mode
     checks it before the first photon."""
@@ -517,10 +545,7 @@ def run_session(config, database, target_index):
     index are checked before the first photon. Returns (report, raw key,
     final key); the report carries the query when the session succeeded.
     """
-    database = np.asarray(database, dtype=np.uint8)
-    n = config.n_items
-    if database.size != n:
-        raise DomainError(f"database has {database.size} bits, key has {n}")
+    database = check_database(config, database)
     check_target(config, target_index)
     sender, receiver, raw, final = _distribute(config)
     if receiver.final.known_count:
@@ -532,40 +557,24 @@ def run_session(config, database, target_index):
 
 
 def bits_to_hex(bits):
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
-
-
-def hex_to_bits(text, n_bits):
-    try:
-        raw = bytes.fromhex(text)
-    except ValueError:
-        raise DomainError("malformed hex database payload")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    if bits.size < n_bits:
-        raise DomainError(f"hex payload holds {bits.size} bits, need {n_bits}")
-    return bits[:n_bits].astype(np.uint8)
+    return Bits.of(bits).body.tobytes().hex()
 
 
 def load_database(path, n_bits):
     """Read an N-bit database from a plain hex text file or a raw binary
-    file (most significant bit first)."""
+    file (most significant bit first), as uint8 bits."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    try:
-        text = blob.decode("ascii").strip()
-        if text and all(c in "0123456789abcdefABCDEF" for c in text):
-            return hex_to_bits(text, n_bits)
-    except UnicodeDecodeError:
-        pass
-    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8))
-    if bits.size < n_bits:
-        raise DomainError(f"file {path} holds {bits.size} bits, need {n_bits}")
-    return bits[:n_bits].astype(np.uint8)
-
-
-def save_database_hex(path, bits):
-    with open(path, "w") as fh:
-        fh.write(bits_to_hex(bits))
+    text = blob.decode("ascii", "replace").strip()
+    if text and all(c in "0123456789abcdefABCDEF" for c in text):
+        try:
+            blob = bytes.fromhex(text)
+        except ValueError:
+            raise DomainError("malformed hex database payload") from None
+    if 8 * len(blob) < n_bits:
+        raise DomainError(f"file {path} holds {8 * len(blob)} bits, need {n_bits}")
+    body = np.frombuffer(blob, dtype=np.uint8, count=Bits.body_size(n_bits))
+    return Bits(n_bits, body).unpack().view(np.uint8)
 
 
 def random_database(n_bits, seed):

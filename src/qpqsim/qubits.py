@@ -76,10 +76,6 @@ class StateVector:
     def dim(self):
         return self.amps.shape[0]
 
-    def overlap(self, other):
-        """Inner product <self|other>."""
-        return complex(np.vdot(self.amps, other.amps))
-
     def density(self):
         """Projector |psi><psi| as a DensityMatrix."""
         return DensityMatrix(np.outer(self.amps, self.amps.conj()))

@@ -25,7 +25,9 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import CapacityError, ProtocolAbort, QpqError
-from .protocol import PHOTON_CAP, PUBLIC_CONFIG, ROUND, Receiver, Sender, check_target
+from .protocol import (
+    PHOTON_CAP, PUBLIC_CONFIG, ROUND, Bits, Receiver, Sender, check_database, check_target,
+)
 
 # re-exported, unused here: perfbench/test_bench.py checks both names
 from .protocol import draw_bases, simulate_batch  # noqa: F401
@@ -74,45 +76,39 @@ class MsgType(IntEnum):
     ERROR = 0x7F
 
 
-def _pack_bits(bits):
-    bits = np.asarray(bits, dtype=np.uint8)
-    return _U32.pack(bits.size) + np.packbits(bits).tobytes()
-
-
-def _read_packed(payload, offset):
-    """The bit count and packed body of the bit array at offset (a view
-    of the payload), and the offset after it."""
+def _read_bits(payload, offset):
+    """The Bits at offset, whose body is a view of the payload, and the
+    offset after them."""
     if len(payload) < offset + 4:
         raise FrameDecodeError("truncated bit array header")
     (count,) = _U32.unpack_from(payload, offset)
-    nbytes = (count + 7) // 8
+    nbytes = Bits.body_size(count)
     start = offset + 4
     if len(payload) < start + nbytes:
         raise FrameDecodeError("truncated bit array body")
-    packed = np.frombuffer(payload, dtype=np.uint8, count=nbytes, offset=start)
-    return count, packed, start + nbytes
-
-
-def _unpack_bits(payload, offset):
-    count, packed, end = _read_packed(payload, offset)
-    return np.unpackbits(packed, count=count), end
+    body = np.frombuffer(payload, dtype=np.uint8, count=nbytes, offset=start)
+    return Bits(count, body), start + nbytes
 
 
 class _Message:
-    """Payload codec and equality derived from a message's dataclass
-    fields, in declaration order: a STRUCT packs them as one fixed-width
-    record; without one, each field is a length-prefixed bit array and
-    all arrays of a message have one length."""
+    """Payload codec derived from a message's dataclass fields, in
+    declaration order: a STRUCT packs them as one fixed-width record;
+    without one, each field is a Bits, sent as its 32-bit count and its
+    body, and all Bits of a message have one length. A Bits field given
+    0/1 values packs them."""
 
     STRUCT = None
 
-    def _values(self):
-        return [getattr(self, f.name) for f in fields(self)]
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type is Bits and not isinstance(getattr(self, f.name), Bits):
+                setattr(self, f.name, Bits.of(getattr(self, f.name)))
 
     def encode_payload(self):
+        values = [getattr(self, f.name) for f in fields(self)]
         if self.STRUCT is not None:
-            return self.STRUCT.pack(*self._values())
-        return b"".join(_pack_bits(v) for v in self._values())
+            return self.STRUCT.pack(*values)
+        return b"".join(_U32.pack(v.count) + v.body.tobytes() for v in values)
 
     @classmethod
     def decode_payload(cls, payload):
@@ -123,21 +119,16 @@ class _Message:
             return cls(*cls.STRUCT.unpack(payload))
         values, offset = [], 0
         for _ in fields(cls):
-            bits, offset = _unpack_bits(payload, offset)
+            bits, offset = _read_bits(payload, offset)
             values.append(bits)
         if offset != len(payload):
             raise FrameDecodeError(f"trailing bytes after {name}")
-        if len({v.size for v in values}) > 1:
+        if len({len(v) for v in values}) > 1:
             raise FrameDecodeError(f"{name} bit arrays differ in length")
         return cls(*values)
 
-    def __eq__(self, other):
-        return type(other) is type(self) and all(
-            np.array_equal(a, b) for a, b in zip(self._values(), other._values())
-        )
 
-
-@dataclass(eq=False)
+@dataclass
 class Hello(_Message):
     TAG = MsgType.HELLO
     STRUCT = struct.Struct(">dIHd")
@@ -147,86 +138,53 @@ class Hello(_Message):
     loss_rate: float
 
 
-@dataclass(eq=False)
+@dataclass
 class PhotonBatchReq(_Message):
     TAG = MsgType.PHOTON_BATCH_REQ
     STRUCT = _U32
     count: int
 
 
-@dataclass(eq=False)
+@dataclass
 class MeasureSubmit(_Message):
     TAG = MsgType.MEASURE_SUBMIT
-    bases: np.ndarray
+    bases: Bits
 
 
-@dataclass(eq=False)
+@dataclass
 class OutcomeBatch(_Message):
     TAG = MsgType.OUTCOME_BATCH
-    received: np.ndarray
-    outcomes: np.ndarray
-
-    def __post_init__(self):
-        self.received = np.asarray(self.received, dtype=bool)
+    received: Bits
+    outcomes: Bits
 
 
-@dataclass(eq=False, init=False)
+@dataclass
 class Declaration(_Message):
-    """The sender's letters, one per retained photon, held as the frame
-    carries them: the bit count and the packed body, whose pad bits count
-    for nothing. Built from 0/1 letters, which it packs, or from a count
-    and a packed body, which it takes as they are; letters unpacks on
-    access. So neither endpoint unpacks the k*N letters."""
-
     TAG = MsgType.DECLARATION
-    count: int
-    body: np.ndarray  # uint8, np.packbits order
-
-    def __init__(self, letters=None, *, count=None, body=None):
-        if letters is not None:
-            letters = np.asarray(letters, dtype=np.uint8)
-            count, body = letters.size, np.packbits(letters)
-        self.count, self.body = count, body
-
-    @property
-    def letters(self):
-        return np.unpackbits(self.body, count=self.count)
-
-    def _values(self):
-        return [self.letters]
-
-    def encode_payload(self):
-        return _U32.pack(self.count) + self.body.tobytes()
-
-    @classmethod
-    def decode_payload(cls, payload):
-        count, body, end = _read_packed(payload, 0)
-        if end != len(payload):
-            raise FrameDecodeError("trailing bytes after DECLARATION")
-        return cls(count=count, body=body)
+    letters: Bits
 
 
-@dataclass(eq=False)
+@dataclass
 class SiftAck(_Message):
     TAG = MsgType.SIFT_ACK
     STRUCT = _U32
     conclusive_count: int
 
 
-@dataclass(eq=False)
+@dataclass
 class Shift(_Message):
     TAG = MsgType.SHIFT
     STRUCT = _U32
     shift: int
 
 
-@dataclass(eq=False)
+@dataclass
 class Ciphertext(_Message):
     TAG = MsgType.CIPHERTEXT
-    bits: np.ndarray
+    bits: Bits
 
 
-@dataclass(eq=False)
+@dataclass
 class Error(_Message):
     TAG = MsgType.ERROR
     code: int
@@ -378,12 +336,17 @@ def _hello(config):
 
 
 def check_config(config):
-    """The session parameters must fit HELLO's fields; a query checks this
-    before its first frame and a server before it listens."""
+    """The session parameters must fit HELLO's fields, and the k*N letters
+    one DECLARATION frame; a query checks this before its first frame and
+    a server before it draws its database."""
     try:
         _hello(config).encode_payload()
     except struct.error as exc:
         raise CapacityError(f"session parameters do not fit a HELLO frame: {exc}") from None
+    length = 1 + _U32.size + Bits.body_size(config.raw_length)
+    if length > MAX_FRAME_LENGTH:
+        raise CapacityError(f"k*N = {config.raw_length} letters take a {length}-byte "
+                            f"DECLARATION frame, over the {MAX_FRAME_LENGTH} cap")
 
 
 def session_budget(config):
@@ -410,12 +373,12 @@ def run_bob_endpoint(config, database, conn, audit=None):
         if not 1 <= req.count <= ROUND:
             fs.fail(ERR_BAD_PARAMS, f"batch size {req.count} outside [1, {ROUND}]")
         sub = fs.expect(MeasureSubmit)
-        if sub.bases.size != req.count:
+        if len(sub.bases) != req.count:
             fs.fail(ERR_BAD_PARAMS, "basis array does not match requested batch size")
-        received, outcomes = bob.transmit(sub.bases)
+        received, outcomes = bob.transmit(sub.bases.unpack())
         fs.send(OutcomeBatch(received=received, outcomes=outcomes))
 
-    fs.send(Declaration(count=config.raw_length, body=bob.declaration()))
+    fs.send(Declaration(letters=bob.declaration()))
     bob.conclusive_count = fs.expect(SiftAck).conclusive_count
     ciphertext = bob.answer(database, fs.expect(Shift).shift)
     fs.send(Ciphertext(bits=ciphertext))
@@ -435,22 +398,22 @@ def run_alice_endpoint(config, target_index, conn, audit=None):
         fs.send(PhotonBatchReq(count=count))
         fs.send(MeasureSubmit(bases=alice.bases(count)))
         batch = fs.expect(OutcomeBatch)
-        if batch.received.size != count:
+        if len(batch.received) != count:
             fs.fail(ERR_BAD_PARAMS, "outcome batch does not match requested size")
-        alice.absorb(batch.received, batch.outcomes)
+        alice.absorb(batch.received.unpack(), batch.outcomes.unpack())
 
-    decl = fs.expect(Declaration)
-    if decl.count != config.raw_length:
+    letters = fs.expect(Declaration).letters
+    if len(letters) != config.raw_length:
         fs.fail(ERR_BAD_PARAMS, "declaration length does not match raw key length")
-    fs.send(SiftAck(conclusive_count=alice.sift(decl.body)))
+    fs.send(SiftAck(conclusive_count=alice.sift(letters)))
     if alice.final.known_count == 0:
         fs.fail(ERR_SESSION_FAILED, "no known final-key bits; session must restart")
 
     fs.send(Shift(shift=alice.query(target_index)))
-    ct = fs.expect(Ciphertext)
-    if ct.bits.size != config.n_items:
+    ciphertext = fs.expect(Ciphertext).bits
+    if len(ciphertext) != config.n_items:
         fs.fail(ERR_BAD_PARAMS, "ciphertext length does not match database size")
-    alice.retrieve(ct.bits)
+    alice.retrieve(ciphertext.unpack().view(np.uint8))
     return alice
 
 
@@ -509,9 +472,9 @@ class WireServer:
 
     def __init__(self, host, port, config, database, sessions=None):
         check_config(config)  # no client could match a config HELLO cannot carry
+        self._database = check_database(config, database)
         self._srv = socket.create_server((host, port))
         self._config = config
-        self._database = np.asarray(database, dtype=np.uint8)
         self._sessions = sessions
         self.outcomes = Counter()
         self.host = host

@@ -2,8 +2,9 @@
 
 Nothing in qpqsim calls these: the scalar sift is the per-photon verdict
 that sift_batch vectorizes, the known-count law is the exact distribution
-the session statistics are tested against, and the branch weights and
-basis states spell out by hand what the package computes from tables.
+the session statistics are tested against, and the branch weights, basis
+states and overlaps spell out by hand what the package computes from
+tables.
 scipy is imported only inside known_count_distribution, so importing this
 module loads no scipy.stats.
 """
@@ -101,5 +102,10 @@ def conclusive_branch_weights(theta, want_conclusive=True):
             if outcome == announce:
                 continue  # inconclusive branch
             bit = 1 if basis is Basis.B else 0
-            weights[bit] = 0.5 * abs(states[outcome].overlap(psi)) ** 2
+            weights[bit] = 0.5 * abs(overlap(states[outcome], psi)) ** 2
     return weights
+
+
+def overlap(left, right):
+    """Inner product <left|right> of two StateVectors."""
+    return complex(np.vdot(left.amps, right.amps))

@@ -135,7 +135,7 @@ def test_coins_read_ceil_count_over_8_bytes_in_unpackbits_order(bit_generator, c
     twin = np.random.Generator(bit_generator(5))
     coins = attacks._coins(rng, count)
     raw = twin.bytes(-(-count // 8))
-    assert coins.dtype == np.uint8 and coins.tobytes() == raw
+    assert len(coins) == count and coins.body.dtype == np.uint8 and coins.body.tobytes() == raw
     # nothing more was read: next bytes (a buffered half-word shows) and floats
     assert rng.bytes(8) == twin.bytes(8)
     assert rng.random(2).tolist() == twin.random(2).tolist()
@@ -144,7 +144,7 @@ def test_coins_read_ceil_count_over_8_bytes_in_unpackbits_order(bit_generator, c
     for start in range(min(count, 9) + 1):
         for stop in {start, start + 1, count // 2, count - 1, count}:
             if start <= stop <= count:
-                got = protocol._unpack(coins, start, stop)
+                got = coins.unpack(start, stop)
                 assert got.dtype == np.bool_
                 assert got.tolist() == want[start:stop]
 

@@ -178,6 +178,38 @@ def test_bad_port_exits_2_before_connecting(tmp_path, command, port):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["query", "--item", "0"], ["serve"]])
+def test_declaration_over_the_frame_cap_exits_2_before_connecting(tmp_path, capsys, monkeypatch,
+                                                                   command):
+    # k*N = 134,217,689 letters take a 16,777,217-byte DECLARATION frame:
+    # a served session sent them all as photons before the frame failed.
+    # The refused port shows that query tries no connection and serve does
+    # not listen, and serve draws no database first.
+    monkeypatch.setattr(cli, "_database_for", lambda args: pytest.fail("database drawn"))
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        address = "127.0.0.1:%d" % closed.getsockname()[1]
+        args = [command[0], "--address", address, "--N", "134217689", "--k", "1",
+                "--theta", "0.3", "--seed", "1", *command[1:]]
+        code, _, err = run_cli(args, tmp_path, capsys)
+    assert code == 2
+    assert err.startswith("error: k*N = 134217689 letters take a 16777217-byte DECLARATION")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["F1", "--nbar", "-1"], ["F1", "--nbar", "2000000"], ["F2", "--N", "1"]],
+    ids=["F1-negative-target", "F1-target-over-every-N", "F2-one-item"],
+)
+def test_figure_with_no_point_exits_2_and_writes_no_file(tmp_path, capsys, args):
+    # each used to write "series": [] and exit 0
+    code, _, err = run_cli(["figures", "--which", *args], tmp_path, capsys)
+    assert code == 2
+    assert err.startswith("error: no substring count 1..6 has a theta")
+    assert list(tmp_path.iterdir()) == []
+
+
 NEGATIVE_SEED = ["--N", "64", "--k", "2", "--theta", "0.9", "--seed", "-1"]
 
 
@@ -420,7 +452,7 @@ def test_serve_and_query_subprocess_round_trip(tmp_path):
     env = dict(os.environ, PYTHONUNBUFFERED="1")
     db_path = tmp_path / "db.hex"
     database = protocol.random_database(64, 123)
-    protocol.save_database_hex(db_path, database)
+    db_path.write_text(protocol.bits_to_hex(database))
     with subprocess.Popen(
         [
             sys.executable, "-m", "qpqsim.cli", "serve",

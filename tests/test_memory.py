@@ -58,7 +58,7 @@ def test_received_frame_is_read_into_one_buffer():
     # prepending its header held it twice
     count = 4 * N_ITEMS
     body = np.full(count // 8, 0xA5, dtype=np.uint8)
-    frame = wire.encode_frame(wire.Declaration(count=count, body=body))
+    frame = wire.encode_frame(wire.Declaration(letters=protocol.Bits(count, body)))
     assert len(frame) == 500_009
     left, right = socket.socketpair()
     with left, right:
@@ -67,5 +67,5 @@ def test_received_frame_is_read_into_one_buffer():
         msg, peak = _traced_peak(wire.FrameStream(right).recv)
         sender.join(timeout=30)
     assert not sender.is_alive()
-    assert msg.count == count and msg.body.tobytes() == body.tobytes()
+    assert len(msg.letters) == count and msg.letters.body.tobytes() == body.tobytes()
     assert peak <= 1.1 * len(frame), f"traced peak {peak / len(frame):.3f} x the frame"

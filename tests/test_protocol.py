@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from qpqsim.errors import (
     ResourceError,
 )
 from qpqsim.protocol import (
+    Bits,
     FinalKey,
     RawKey,
     SessionConfig,
@@ -20,7 +23,6 @@ from qpqsim.protocol import (
     random_database,
     run_key_distribution,
     run_session,
-    save_database_hex,
     sift_batch,
     xor_compress,
 )
@@ -93,15 +95,39 @@ def test_sift_batch_matches_the_scalar_sift_per_photon():
     for count in range(1, 41):
         for _ in range(5):
             bases, outcomes, letters = rng.integers(0, 2, (3, count), dtype=np.uint8)
-            declared = np.packbits(letters)
-            declared[-1] |= rng.integers(0, 256) & ((1 << (-count % 8)) - 1)
-            mask, bits = sift_batch(np.packbits(bases), np.packbits(outcomes), declared, count)
-            mask, bits = np.unpackbits(mask), np.unpackbits(bits)
+            declared = Bits.of(letters)
+            declared.body[-1] |= rng.integers(0, 256) & ((1 << (-count % 8)) - 1)
+            mask, bits = sift_batch(Bits.of(bases), Bits.of(outcomes), declared)
+            mask, bits = np.unpackbits(mask.body), np.unpackbits(bits.body)
             for i in range(count):
                 verdict = sift(int(bases[i]), int(outcomes[i]), int(letters[i]))
                 assert mask[i] == (verdict is not None)
                 assert bits[i] == (verdict or 0)
             assert not mask[count:].any() and not bits[count:].any()
+
+
+def test_only_bits_packs_and_unpacks():
+    # the packed layout is decided in one place: np.packbits and
+    # np.unpackbits appear in the package only inside protocol.Bits
+    names = {"packbits", "unpackbits"}
+    inside, outside = 0, []
+    for path in sorted(Path(protocol.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bits = set()
+        if path.name == "protocol.py":
+            (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Bits"]
+            bits = {id(n) for n in ast.walk(cls)}
+        for node in ast.walk(tree):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in names:
+                if id(node) in bits:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert inside > 0
 
 
 # --- compression ----------------------------------------------------------------
@@ -111,7 +137,7 @@ def _raw(bits, mask):
     bits = np.array(bits, dtype=np.uint8)
     mask = np.array(mask, dtype=bool)
     alice = np.where(mask, bits, 0)
-    return RawKey(bits.size, np.packbits(bits), np.packbits(mask), np.packbits(alice))
+    return RawKey(Bits.of(bits), Bits.of(mask), Bits.of(alice))
 
 
 def test_xor_compress_identity_at_k1():
@@ -381,7 +407,7 @@ def test_report_json_is_canonical_and_stable():
 def test_database_file_round_trip(tmp_path):
     bits = random_database(37, 99)
     hex_path = tmp_path / "db.hex"
-    save_database_hex(hex_path, bits)
+    hex_path.write_text(protocol.bits_to_hex(bits))
     assert np.array_equal(load_database(hex_path, 37), bits)
     bin_path = tmp_path / "db.bin"
     bin_path.write_bytes(np.packbits(bits).tobytes())
@@ -398,7 +424,7 @@ def test_database_file_of_exactly_n_bits(tmp_path):
     bin_path = tmp_path / "db.bin"
     bin_path.write_bytes(blob)
     hex_path = tmp_path / "db.hex"
-    save_database_hex(hex_path, bits)
+    hex_path.write_text(protocol.bits_to_hex(bits))
     for path in (bin_path, hex_path):
         assert np.array_equal(load_database(path, 64), bits)
         with pytest.raises(DomainError):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpqsim import protocol, wire
-from qpqsim.errors import CapacityError, ProtocolAbort
+from qpqsim.errors import CapacityError, DomainError, ProtocolAbort
 from qpqsim.protocol import SessionConfig, random_database, run_session
 from qpqsim.wire import (
     Ciphertext,
@@ -149,7 +149,7 @@ def test_bit_array_whose_body_is_one_byte_short_is_rejected(cls):
 
 def test_outcome_batch_whose_arrays_differ_in_length_is_rejected():
     nine, eight = np.ones(9, dtype=np.uint8), np.ones(8, dtype=np.uint8)
-    payload = wire._pack_bits(nine) + wire._pack_bits(eight)
+    payload = b"".join(encode_frame(MeasureSubmit(bases=b))[5:] for b in (nine, eight))
     with pytest.raises(FrameDecodeError, match="differ in length"):
         decode_frame(_frame(MsgType.OUTCOME_BATCH, payload))
 
@@ -163,15 +163,15 @@ def test_decoding_a_bit_array_allocates_it_once():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert msg.bases.tolist() == [1] * wire.ROUND
+    assert msg.bases.unpack().tolist() == [1] * wire.ROUND
     assert peak < wire.ROUND + 2 * len(frame)
 
 
 def test_declaration_of_packed_letters_encodes_as_of_letters():
     letters = (np.random.default_rng(3).random(37) >= 0.5).astype(np.uint8)
-    packed = Declaration(count=37, body=np.packbits(letters))
+    packed = Declaration(letters=protocol.Bits(37, np.packbits(letters)))
     assert encode_frame(packed) == encode_frame(Declaration(letters=letters))
-    assert packed.letters.tolist() == letters.tolist()
+    assert packed.letters.unpack().tolist() == letters.tolist()
     assert decode_frame(encode_frame(packed)) == packed
     # one byte more than 37 bits take
     with pytest.raises(FrameDecodeError, match="trailing bytes"):
@@ -184,7 +184,7 @@ def test_declaration_pad_bits_are_ignored():
     dirty = clean[:-1] + bytes([clean[-1] | 0x07])  # the three pad bits set
     assert dirty != clean
     assert decode_frame(dirty) == decode_frame(clean) == Declaration(letters=letters)
-    assert decode_frame(dirty).letters.tolist() == letters.tolist()
+    assert decode_frame(dirty).letters.unpack().tolist() == letters.tolist()
 
 
 def test_session_sifts_a_declaration_with_pad_bits_as_the_clean_one(monkeypatch):
@@ -196,7 +196,7 @@ def test_session_sifts_a_declaration_with_pad_bits_as_the_clean_one(monkeypatch)
 
     def with_pad_bits(sender):
         letters = honest(sender)
-        letters[-1] |= 0x7F
+        letters.body[-1] |= 0x7F
         return letters
 
     monkeypatch.setattr(protocol.Sender, "declaration", with_pad_bits)
@@ -206,9 +206,10 @@ def test_session_sifts_a_declaration_with_pad_bits_as_the_clean_one(monkeypatch)
         audit_bob=lambda direction, msg: declared.extend([msg] * isinstance(msg, Declaration)),
     )
     assert encode_frame(declared[0])[-1] & 0x7F == 0x7F  # the pad bits went out
-    for name in ("packed_mask", "packed_alice"):
-        assert getattr(alice.raw, name).tobytes() == getattr(clean_alice.raw, name).tobytes()
-    assert alice.raw.packed_mask[-1] & 0x7F == 0  # and were not taken in
+    for name in ("mask", "alice"):
+        got, want = getattr(alice.raw, name), getattr(clean_alice.raw, name)
+        assert got.body.tobytes() == want.body.tobytes()
+    assert alice.raw.mask.body[-1] & 0x7F == 0  # and were not taken in
     assert np.array_equal(alice.final.alice_mask, clean_alice.final.alice_mask)
     assert np.array_equal(alice.final.alice_bits, clean_alice.final.alice_bits)
     assert alice.report.to_json() == clean_alice.report.to_json()
@@ -277,9 +278,9 @@ def test_declaration_of_the_wrong_length_aborts_the_receiver(extra):
         sender = protocol.Sender(cfg)
         while not sender.done:
             fs.expect(PhotonBatchReq)
-            received, outcomes = sender.transmit(fs.expect(MeasureSubmit).bases)
+            received, outcomes = sender.transmit(fs.expect(MeasureSubmit).bases.unpack())
             fs.send(OutcomeBatch(received=received, outcomes=outcomes))
-        letters = np.unpackbits(sender.declaration(), count=cfg.raw_length)
+        letters = sender.declaration().unpack()
         fs.send(Declaration(letters=np.resize(letters, cfg.raw_length + extra)))
         reply = fs.recv()
     thread.join(timeout=30)
@@ -345,7 +346,7 @@ def test_lossless_session_simulates_exactly_kn_photons(monkeypatch):
 
     def audit_bob(direction, msg):
         if direction == "recv" and isinstance(msg, MeasureSubmit):
-            submitted.append(msg.bases.size)
+            submitted.append(len(msg.bases))
 
     _, alice_res = run_local_session(cfg, database, 42, audit_bob=audit_bob)
     assert sum(submitted) == 2000
@@ -511,6 +512,21 @@ def test_parameter_mismatch_rejected():
     assert err.value.code == wire.ERR_BAD_PARAMS
 
 
+def test_check_config_requires_the_declaration_to_fit_one_frame():
+    # 1 + 4 + ceil(k*N / 8) bytes: k*N = 134,217,688 letters fill the cap
+    wire.check_config(SessionConfig(n_items=134_217_688, substrings=1, theta=0.3))
+    for n_items, substrings in ((134_217_689, 1), (2 ** 26, 2)):
+        config = SessionConfig(n_items=n_items, substrings=substrings, theta=0.3)
+        with pytest.raises(CapacityError, match="DECLARATION frame, over the 16777216 cap"):
+            wire.check_config(config)
+
+
+def test_server_checks_the_database_size_before_it_listens():
+    # it used to listen, and abort every session with bad_params after HELLO
+    with pytest.raises(DomainError, match="database has 10 bits, key has 64"):
+        wire.WireServer("127.0.0.1", 0, make_config(), np.zeros(10))
+
+
 def test_alice_checks_hello_fields_before_her_first_frame():
     # SessionConfig takes any k >= 1, but HELLO carries k in 16 bits
     cfg = SessionConfig(n_items=1, substrings=70000, theta=0.9)
@@ -601,7 +617,7 @@ def test_privacy_hygiene_of_frames():
     # declarations are the public letters, never the coded bits
     decls = [m for m in bob_sent if isinstance(m, Declaration)]
     assert len(decls) == 1
-    assert np.array_equal((np.asarray(decls[0].letters) >> 1), np.zeros(cfg.raw_length))
+    assert np.array_equal(decls[0].letters.unpack().view(np.uint8) >> 1, np.zeros(cfg.raw_length))
 
 
 def serve_in_thread(server):
