@@ -4,7 +4,7 @@ Every kernel consumes randomness its caller has already drawn: uniform
 arrays for the Born-rule comparisons and the transmission's coins, and
 0/1 coin arrays for the attacks. So all randomness stays in the numpy
 Generator streams owned by the callers and results depend only on the
-seeds.
+seeds. The attacks sift and fold with protocol.sift_batch and _fold.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ def _pick(coin, if0, if1):
     return if0 ^ (coin & (if0 ^ if1))
 
 
-def _usd_trials_np(u, truth, p_wrong, p_right):
+def usd_trials(u, truth, p_wrong, p_right):
     # codes: 0 = inconclusive, 1 = correct identification, 2 = wrong one.
     # Two stages, since u < pw implies u < pw + pr only when pr >= 0.
     truth = truth.view(np.bool_)  # 0/1 of any one-byte dtype
@@ -46,19 +46,13 @@ def _usd_trials_np(u, truth, p_wrong, p_right):
     return codes
 
 
-def _conclusiveness_trials_np(attack, bases, u, p0_attack, want_conclusive):
+def conclusiveness_trials(attack, bases, u, p0_attack):
     # attack and bases are bool coins, u the outcome uniforms: outcome 1
-    # when u >= p0_attack[attack, basis]
+    # when u >= p0_attack[attack, basis]; the caller sifts the outcomes
     (p00, p01), (p10, p11) = p0_attack.tolist()
-    outcomes = _pick(bases, _pick(attack, u >= p00, u >= p10), _pick(attack, u >= p01, u >= p11))
-    # the announced letter is the attack label, flipped to seek a conclusive result
-    conclusive = outcomes != (attack ^ bool(want_conclusive))
-    bits = (~bases).view(np.uint8)
-    return conclusive, bits
+    return _pick(bases, _pick(attack, u >= p00, u >= p10), _pick(attack, u >= p01, u >= p11))
 
 
-# public aliases of the _np definitions: perfbench/test_bench.py checks
+# public alias of the _np definition: perfbench/test_bench.py checks
 # that simulate_transmission is _simulate_transmission_np
 simulate_transmission = _simulate_transmission_np
-usd_trials = _usd_trials_np
-conclusiveness_trials = _conclusiveness_trials_np

@@ -8,7 +8,8 @@ photons behind one final-key bit are bounded by the Helstrom guessing
 probability 1/2 + sin^k(theta)/2 or the parity-pair USD bound 1 - F =
 2^-k sum_w C(k,w) (1+c)^min(w,k-w) (1-c)^max(w,k-w) with c = cos(theta). A
 dishonest sender substitutes half-angle states to bias the receiver's
-conclusiveness, at the price of losing the bit value entirely.
+conclusiveness, at the price of losing the bit value entirely. Both Monte
+Carlo attacks sift and fold with the session's sift_batch and _fold.
 """
 
 import io
@@ -189,8 +190,8 @@ def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=
     coin, all of them first and kept packed, one bit per raw photon. Then,
     one round at a time, it samples the discriminator's three outcomes at
     their Born weights from one uniform per photon, and counts final
-    positions whose k contributors all succeeded. Wrong identifications
-    are tallied; unambiguity demands exactly zero.
+    positions whose k contributors all succeeded, with protocol._fold.
+    Wrong identifications are tallied; unambiguity demands exactly zero.
     """
     if n_items < 1 or substrings < 1 or trials < 1:
         raise DomainError("n_items, substrings and trials must all be >= 1")
@@ -211,11 +212,9 @@ def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=
         u = rng.random(part.stop - part.start)
         codes = usd_trials(u, truth.unpack(part.start, part.stop), p_wrong, p_right)
         wrong += int(np.count_nonzero(codes == 2))
-        # AND the k columns: np.all over rows of k is several times slower
-        success = (codes == 1).reshape(-1, substrings)
-        all_known = success[:, 0].copy()
-        for column in range(1, substrings):
-            all_known &= success[:, column]
+        # substring-major like a raw key, so _fold ANDs each trial's k photons
+        success = protocol.Bits.of((codes == 1).reshape(-1, substrings).T)
+        all_known = protocol._fold(success, substrings, len(codes) // substrings, np.bitwise_and)
         known += int(np.count_nonzero(all_known))
     q_hat = known / trials
     sigma_q = math.sqrt(max(q_hat * (1.0 - q_hat), 1e-300) / trials)
@@ -241,9 +240,9 @@ def bob_conclusiveness_attack(theta, want_conclusive, trials=DEFAULT_TRIALS, rng
     The sender transmits a half-angle state and announces the letter that
     makes a conclusive result as likely as possible (probability
     cos^2(theta/2)) or as unlikely as possible (sin^2(theta/2)). The
-    receiver's honest measurement and sift are simulated; the conditional
-    distribution of her inferred bit is reported, and is uniform: the
-    attack trades all bit-value knowledge for conclusiveness knowledge.
+    receiver's honest measurement and protocol.sift_batch are simulated;
+    the conditional distribution of her inferred bit is reported, and is
+    uniform: the attack trades all bit-value knowledge for conclusiveness.
 
     Per trial the attack label and the receiver's basis are fair coins,
     all 2 * trials of them drawn first in one read (the labels, then the
@@ -260,17 +259,21 @@ def bob_conclusiveness_attack(theta, want_conclusive, trials=DEFAULT_TRIALS, rng
     p0_attack = _outcome0_table([attack_state(a, theta).amps for a in AttackLabel], theta)
 
     coins = _coins(rng, 2 * trials)
-    hits = ones = 0
+    # kept round by round, as Receiver.absorb keeps them
+    bases, outcomes = protocol.Bits(trials), protocol.Bits(trials)
     for part in _rounds(trials, 1):
-        conclusive, bits = conclusiveness_trials(
-            coins.unpack(part.start, part.stop),
-            coins.unpack(trials + part.start, trials + part.stop),
-            rng.random(part.stop - part.start),
-            p0_attack,
-            bool(want_conclusive),
-        )
-        hits += int(np.count_nonzero(conclusive))
-        ones += int(np.count_nonzero(bits & conclusive))
+        basis = coins.unpack(trials + part.start, trials + part.stop)
+        bases.put(part.start, basis)
+        outcomes.put(part.start, conclusiveness_trials(
+            coins.unpack(part.start, part.stop), basis, rng.random(part.stop - part.start), p0_attack,
+        ))
+    # the letters are the labels, flipped to seek a conclusive result; their
+    # pad bits, the first bases, count for nothing in sift_batch
+    flip = 0xFF if want_conclusive else 0
+    letters = protocol.Bits(trials, coins.body[:protocol.Bits.body_size(trials)] ^ flip)
+    mask, bits = protocol.sift_batch(bases, outcomes, letters)
+    hits = int(np.bitwise_count(mask.body).sum())
+    ones = int(np.bitwise_count(bits.body).sum())
     rate = hits / trials
     sigma = math.sqrt(max(rate * (1.0 - rate), 1e-300) / trials)
 

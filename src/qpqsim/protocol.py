@@ -22,7 +22,7 @@ arrays: the in-process engine pumps them directly and the wire endpoints
 pump them over frames, so both modes run the same session code, the
 query phase included (Receiver.query, Sender.answer, Receiver.retrieve).
 Both modes check the database size and target index before the first
-photon.
+photon or frame, with the same DomainError.
 """
 
 import json
@@ -525,7 +525,7 @@ def run_key_distribution(config):
 
 def check_database(config, database):
     """The database as uint8 bits, which must number N; every mode checks
-    it before the first photon."""
+    it before the first photon or frame."""
     database = np.asarray(database, dtype=np.uint8)
     if database.size != config.n_items:
         raise DomainError(f"database has {database.size} bits, key has {config.n_items}")
@@ -534,7 +534,7 @@ def check_database(config, database):
 
 def check_target(config, target_index):
     """The receiver's target must index the N-item database; every mode
-    checks it before the first photon."""
+    checks it before the first photon or frame."""
     if not 0 <= target_index < config.n_items:
         raise DomainError(f"target index {target_index} out of range [0, {config.n_items})")
 

@@ -359,13 +359,11 @@ def session_budget(config):
 def run_bob_endpoint(config, database, conn, audit=None):
     """Database-holder side of one wire session (single pass, no restart);
     returns the Sender."""
+    database = check_database(config, database)
     fs = FrameStream(conn, audit)
-    database = np.asarray(database, dtype=np.uint8)
     # his own config is validated, so this rejects every invalid HELLO too
     if fs.expect(Hello) != _hello(config):
         fs.fail(ERR_BAD_PARAMS, "session parameters do not match this endpoint")
-    if database.size != config.n_items:
-        fs.fail(ERR_BAD_PARAMS, "database size does not match session parameters")
 
     bob = Sender(config)
     while not bob.done:
@@ -441,7 +439,10 @@ def _local_bob(config, database, conn, audit):
 
 def run_local_session(config, database, target_index, audit_bob=None, audit_alice=None):
     """Run both endpoints over an in-memory socket pair, Bob on the local
-    worker thread; returns their (Sender, Receiver)."""
+    worker thread; returns their (Sender, Receiver). The database size and
+    target index are checked before the first frame, as in run_session."""
+    database = check_database(config, database)
+    check_target(config, target_index)
     left, right = socket.socketpair()
     pending = _local_worker.submit(_local_bob, config, database, left, audit_bob)
     errors = {}

@@ -6,7 +6,7 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
-from oracles import conclusive_branch_weights
+from oracles import basis_states, conclusive_branch_weights, overlap, sift
 
 from qpqsim import attacks, planner, protocol
 from qpqsim.attacks import (
@@ -20,7 +20,14 @@ from qpqsim.attacks import (
     usd_povm,
 )
 from qpqsim.errors import CapacityError, DomainError
-from qpqsim.qubits import CarrierLabel, carrier_state, fidelity, trace_distance
+from qpqsim.qubits import (
+    AttackLabel,
+    CarrierLabel,
+    attack_state,
+    carrier_state,
+    fidelity,
+    trace_distance,
+)
 
 THETAS = np.linspace(0.05, math.pi / 2 - 0.05, 20)
 
@@ -121,6 +128,63 @@ def test_bob_attack_does_not_depend_on_the_round(monkeypatch, want):
     assert len(set(runs.values())) == 1
     doc = json.loads(runs[1][0])
     assert 0 < doc["inferred_ones"] < doc["conclusive_count"] < 5003
+
+
+# --- per-trial reference loops ---------------------------------------------------
+
+
+def _twin_coins(twin, count):
+    """The coins _coins reads, as a list: one read of ceil(count / 8) bytes,
+    coin i at bit 7 - i % 8 of byte i // 8."""
+    raw = twin.bytes(-(-count // 8))
+    return [(raw[i // 8] >> (7 - i % 8)) & 1 for i in range(count)]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_individual_usd_matches_a_per_trial_loop(k):
+    # 5003 trials, not a multiple of 8: _fold ANDs unpacked substrings
+    theta, trials = 1.2, 5003
+    report = alice_individual_usd(500, theta, k, trials=trials, rng=np.random.default_rng(23))
+    povm = usd_povm(theta)
+    p_e0 = [povm.outcome_probabilities(carrier_state(c, theta))[0]
+            for c in (CarrierLabel.K0, CarrierLabel.K0P)]
+    p_e1 = [povm.outcome_probabilities(carrier_state(c, theta))[1]
+            for c in (CarrierLabel.K0, CarrierLabel.K0P)]
+    twin = np.random.default_rng(23)
+    truth = _twin_coins(twin, trials * k)
+    known = wrong = 0
+    for trial in range(trials):
+        all_right = True
+        for photon in range(trial * k, (trial + 1) * k):
+            bit, u = truth[photon], twin.random()
+            # the element naming the other member fires first, then the right one
+            p_wrong, p_right = (p_e1[0], p_e0[0]) if bit == 0 else (p_e0[1], p_e1[1])
+            wrong += u < p_wrong
+            all_right = all_right and p_wrong <= u < p_wrong + p_right
+        known += all_right
+    assert report.estimate == 500 * (known / trials)
+    assert report.extra["wrong_identifications"] == wrong == 0
+    assert 0 < known < trials
+
+
+@pytest.mark.parametrize("want", [True, False])
+def test_bob_attack_matches_a_per_trial_loop(want):
+    theta, trials = 0.7, 5003
+    report = bob_conclusiveness_attack(theta, want, trials=trials, rng=np.random.default_rng(29))
+    twin = np.random.default_rng(29)
+    coins = _twin_coins(twin, 2 * trials)
+    hits = ones = 0
+    for trial in range(trials):
+        attack, basis = coins[trial], coins[trials + trial]
+        outcome0 = basis_states(basis, theta)[0]
+        p0 = abs(overlap(outcome0, attack_state(AttackLabel(attack), theta))) ** 2
+        outcome = 1 if twin.random() >= p0 else 0
+        bit = sift(basis, outcome, attack ^ want)
+        hits += bit is not None
+        ones += bit == 1
+    assert report.extra["conclusive_count"] == hits
+    assert report.extra["inferred_ones"] == ones
+    assert 0 < ones < hits < trials
 
 
 # --- fair coins --------------------------------------------------------------------

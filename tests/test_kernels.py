@@ -4,8 +4,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from oracles import sift
 
 from qpqsim import _kernels
+from qpqsim.protocol import Bits, sift_batch
 from qpqsim.qubits import born_outcome0_tables
 
 N = 2000
@@ -49,20 +51,27 @@ def usd_loop(u, truth, p_wrong, p_right):
     return codes
 
 
-def conclusiveness_loop(attack_coins, basis_coins, u, p0_attack, want_conclusive):
-    conclusive, bits = [], []
+def conclusiveness_loop(attack_coins, basis_coins, u, p0_attack):
+    outcomes = []
     for i in range(u.shape[0]):
         attack, basis = int(attack_coins[i]), int(basis_coins[i])
-        announce = attack ^ 1 if want_conclusive else attack
-        outcome = 1 if u[i] >= p0_attack[attack, basis] else 0
-        conclusive.append(outcome != announce)
-        bits.append(1 - basis)
-    return conclusive, bits
+        outcomes.append(u[i] >= p0_attack[attack, basis])
+    return outcomes
 
 
 def assert_same(got, want, dtype):
     assert got.dtype == dtype
     assert got.tolist() == want
+
+
+def assert_attack_sift_matches_oracle(attack, basis, outcomes, want):
+    # the Bob attack announces its label, flipped to seek a conclusive
+    # result, and sifts the kernel's outcomes with the session's sift_batch
+    letters = attack ^ want
+    mask, bits = sift_batch(Bits.of(basis), Bits.of(outcomes), Bits.of(letters))
+    ref = [sift(int(b), int(o), int(d)) for b, o, d in zip(basis, outcomes, letters)]
+    assert mask.unpack().tolist() == [r is not None for r in ref]
+    assert bits.unpack().tolist() == [r == 1 for r in ref]
 
 
 def test_transmission_matches_reference_loop(inputs):
@@ -115,11 +124,11 @@ def test_usd_trials_match_reference_loop(inputs):
 @pytest.mark.parametrize("want", [True, False])
 def test_conclusiveness_trials_match_reference_loop(inputs, want):
     p0a = np.array([[0.8, 0.7], [0.2, 0.3]])
-    args = (inputs["attack"], inputs["basis"], inputs["u_outcome"], p0a, want)
-    conclusive, bits = _kernels.conclusiveness_trials(*args)
-    ref_conclusive, ref_bits = conclusiveness_loop(*args)
-    assert_same(conclusive, ref_conclusive, np.bool_)
-    assert_same(bits, ref_bits, np.uint8)
+    args = (inputs["attack"], inputs["basis"], inputs["u_outcome"], p0a)
+    outcomes = _kernels.conclusiveness_trials(*args)
+    assert_same(outcomes, conclusiveness_loop(*args), np.bool_)
+    assert 0 < np.count_nonzero(outcomes) < N
+    assert_attack_sift_matches_oracle(inputs["attack"], inputs["basis"], outcomes, want)
 
 
 # --- boundaries: u on a threshold, probabilities 0 and 1, weights of +-1e-17 ---
@@ -158,8 +167,7 @@ def test_conclusiveness_trials_match_reference_loop_on_boundaries(want):
                 attack.append(coin0)
                 basis.append(coin1)
                 u.append(u2)
-        args = (np.array(attack), np.array(basis), np.array(u), p0a, want)
-        conclusive, bits = _kernels.conclusiveness_trials(*args)
-        ref_conclusive, ref_bits = conclusiveness_loop(*args)
-        assert_same(conclusive, ref_conclusive, np.bool_)
-        assert_same(bits, ref_bits, np.uint8)
+        args = (np.array(attack), np.array(basis), np.array(u), p0a)
+        outcomes = _kernels.conclusiveness_trials(*args)
+        assert_same(outcomes, conclusiveness_loop(*args), np.bool_)
+        assert_attack_sift_matches_oracle(args[0], args[1], outcomes, want)

@@ -431,6 +431,13 @@ def test_database_file_of_exactly_n_bits(tmp_path):
             load_database(path, 65)
 
 
+def test_hex_database_file_with_an_odd_digit_count_is_rejected(tmp_path):
+    path = tmp_path / "db.hex"
+    path.write_text("abc")
+    with pytest.raises(DomainError, match="malformed hex database payload"):
+        load_database(path, 8)
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         make_config(theta=0.0)
@@ -440,3 +447,6 @@ def test_config_validation():
         make_config(loss_rate=1.0)
     with pytest.raises(DomainError):
         make_config(substrings=0)
+    with pytest.raises(DomainError, match="max_restarts must be >= 0"):
+        make_config(max_restarts=-1)
+    assert make_config(max_restarts=0).max_restarts == 0

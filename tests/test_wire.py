@@ -147,6 +147,18 @@ def test_bit_array_whose_body_is_one_byte_short_is_rejected(cls):
         decode_frame(_frame(cls.TAG, payload))
 
 
+@pytest.mark.parametrize("cls", [MeasureSubmit, OutcomeBatch, Declaration, Ciphertext])
+def test_bit_array_shorter_than_its_count_header_is_rejected(cls):
+    # three bytes, where the bit count alone takes four
+    with pytest.raises(FrameDecodeError, match="truncated bit array header"):
+        decode_frame(_frame(cls.TAG, b"\x00\x00\x01"))
+
+
+def test_error_frame_without_its_code_byte_is_rejected():
+    with pytest.raises(FrameDecodeError, match="ERROR payload must carry a code byte"):
+        decode_frame(_frame(MsgType.ERROR, b""))
+
+
 def test_outcome_batch_whose_arrays_differ_in_length_is_rejected():
     nine, eight = np.ones(9, dtype=np.uint8), np.ones(8, dtype=np.uint8)
     payload = b"".join(encode_frame(MeasureSubmit(bases=b))[5:] for b in (nine, eight))
@@ -255,16 +267,15 @@ def test_frames_read_in_short_reads_stay_aligned(chunk):
     assert conn.sent == []  # no ERROR frame went back
 
 
-@pytest.mark.parametrize("extra", [-1, 1, 8])
-def test_declaration_of_the_wrong_length_aborts_the_receiver(extra):
-    # an honest Bob's rounds, then a declaration of raw_length + extra letters
-    cfg = make_config()
+def _alice_against(cfg, target_index, bob):
+    """Alice's ProtocolAbort and the frame she answers with, where the
+    scripted bob(fs, sender) plays the database holder after HELLO."""
     left, right = socket.socketpair()
     alice_error = {}
 
     def alice():
         try:
-            run_alice_endpoint(cfg, 3, left)
+            run_alice_endpoint(cfg, target_index, left)
         except ProtocolAbort as exc:
             alice_error["exc"] = exc
         finally:
@@ -275,18 +286,65 @@ def test_declaration_of_the_wrong_length_aborts_the_receiver(extra):
     with right:
         fs = wire.FrameStream(right)
         fs.expect(Hello)
-        sender = protocol.Sender(cfg)
-        while not sender.done:
-            fs.expect(PhotonBatchReq)
-            received, outcomes = sender.transmit(fs.expect(MeasureSubmit).bases.unpack())
-            fs.send(OutcomeBatch(received=received, outcomes=outcomes))
-        letters = sender.declaration().unpack()
-        fs.send(Declaration(letters=np.resize(letters, cfg.raw_length + extra)))
+        bob(fs, protocol.Sender(cfg))
         reply = fs.recv()
     thread.join(timeout=30)
     assert not thread.is_alive()
-    assert alice_error["exc"].code == wire.ERR_BAD_PARAMS
-    assert "declaration length" in str(alice_error["exc"])
+    return alice_error.get("exc"), reply
+
+
+def _honest_rounds(fs, sender):
+    while not sender.done:
+        fs.expect(PhotonBatchReq)
+        received, outcomes = sender.transmit(fs.expect(MeasureSubmit).bases.unpack())
+        fs.send(OutcomeBatch(received=received, outcomes=outcomes))
+
+
+@pytest.mark.parametrize("extra", [-1, 1, 8])
+def test_declaration_of_the_wrong_length_aborts_the_receiver(extra):
+    # an honest Bob's rounds, then a declaration of raw_length + extra letters
+    cfg = make_config()
+
+    def bob(fs, sender):
+        _honest_rounds(fs, sender)
+        letters = sender.declaration().unpack()
+        fs.send(Declaration(letters=np.resize(letters, cfg.raw_length + extra)))
+
+    error, reply = _alice_against(cfg, 3, bob)
+    assert error.code == wire.ERR_BAD_PARAMS
+    assert "declaration length" in str(error)
+    assert isinstance(reply, Error) and reply.code == wire.ERR_BAD_PARAMS
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_outcome_batch_of_the_wrong_size_aborts_the_receiver(extra):
+    def bob(fs, sender):
+        size = fs.expect(PhotonBatchReq).count + extra
+        received, outcomes = sender.transmit(fs.expect(MeasureSubmit).bases.unpack())
+        received, outcomes = np.resize(received, size), np.resize(outcomes, size)
+        fs.send(OutcomeBatch(received=received, outcomes=outcomes))
+
+    error, reply = _alice_against(make_config(), 3, bob)
+    assert error.code == wire.ERR_BAD_PARAMS
+    assert "outcome batch does not match requested size" in str(error)
+    assert isinstance(reply, Error) and reply.code == wire.ERR_BAD_PARAMS
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_ciphertext_of_the_wrong_length_aborts_the_receiver(extra):
+    cfg = make_config()
+    database = random_database(cfg.n_items, 1)
+
+    def bob(fs, sender):
+        _honest_rounds(fs, sender)
+        fs.send(Declaration(letters=sender.declaration()))
+        fs.expect(SiftAck)
+        ciphertext = sender.answer(database, fs.expect(Shift).shift)
+        fs.send(Ciphertext(bits=np.resize(ciphertext, cfg.n_items + extra)))
+
+    error, reply = _alice_against(cfg, 3, bob)
+    assert error.code == wire.ERR_BAD_PARAMS
+    assert "ciphertext length does not match database size" in str(error)
     assert isinstance(reply, Error) and reply.code == wire.ERR_BAD_PARAMS
 
 
@@ -525,6 +583,30 @@ def test_server_checks_the_database_size_before_it_listens():
     # it used to listen, and abort every session with bad_params after HELLO
     with pytest.raises(DomainError, match="database has 10 bits, key has 64"):
         wire.WireServer("127.0.0.1", 0, make_config(), np.zeros(10))
+
+
+@pytest.mark.parametrize(
+    "bits, target, message",
+    [
+        (10, 3, "database has 10 bits, key has 64"),
+        (64, 64, r"target index 64 out of range \[0, 64\)"),
+    ],
+    ids=["database-size", "target-index"],
+)
+def test_local_session_checks_its_inputs_before_the_first_frame(bits, target, message):
+    # run_session's DomainError, before either endpoint sends or reads a frame
+    cfg = make_config()
+    database = np.zeros(bits, dtype=np.uint8)
+    with pytest.raises(DomainError, match=message):
+        run_session(cfg, database, target)
+    frames = []
+    with pytest.raises(DomainError, match=message):
+        run_local_session(
+            cfg, database, target,
+            audit_bob=lambda *frame: frames.append(("bob", frame)),
+            audit_alice=lambda *frame: frames.append(("alice", frame)),
+        )
+    assert frames == []
 
 
 def test_alice_checks_hello_fields_before_her_first_frame():
