@@ -25,7 +25,7 @@ def _simulate_transmission_np(u_label, bases, u_chan, p0, loss_rate):
     labels = (u_label * 4.0).astype(np.uint8)
     received = u_chan[:, 0] >= loss_rate
     prob0 = p0.take(2 * labels + bases)
-    outcomes = (u_chan[:, 2] >= prob0).astype(np.uint8)
+    outcomes = (u_chan[:, 2] >= prob0).view(np.uint8)
     return labels, received, outcomes
 
 

@@ -27,7 +27,7 @@ photon or frame, with the same DomainError.
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class SessionConfig:
         return self.substrings * self.n_items
 
     def to_dict(self):
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def stream(seed, attempt=0, tag=0):
@@ -295,7 +295,7 @@ def simulate_batch(source_rng, channel_rng, bases, config, p0):
 
 def draw_bases(measure_rng, count):
     """Receiver's uniform basis choices: 0 -> computational, 1 -> rotated."""
-    return (measure_rng.random(count) >= 0.5).astype(np.uint8)
+    return (measure_rng.random(count) >= 0.5).view(np.uint8)
 
 
 def sift_batch(bases, outcomes, letters):
@@ -341,15 +341,19 @@ class _Party:
 
     def _retain(self, received):
         """The offset in the k*N arrays where this round's retained photons
-        go, and their indices in the round; the counters stop at the last
-        retained photon, so no round size moves them."""
-        idx = np.flatnonzero(received)[: self.config.raw_length - self.retained]
+        go, and the round's loss flags up to its last retained photon, as
+        bool: the photons to keep are the flagged ones. The counters stop
+        at that photon, so no round size moves them."""
+        received = np.asarray(received, dtype=bool)
+        missing = self.config.raw_length - self.retained
+        count, used = int(np.count_nonzero(received)), received.size
+        if count >= missing:  # the key completes at the missing-th received photon
+            count, used = missing, int(np.flatnonzero(received)[missing - 1]) + 1
         start = self.retained
-        self.retained += idx.size
-        used = idx[-1] + 1 if self.done else received.size
-        self.sent += int(used)
-        self.received += int(np.count_nonzero(received[:used]))
-        return start, idx
+        self.retained += count
+        self.sent += used
+        self.received += count
+        return start, received[:used]
 
     def _report(self, **fields):
         return SessionReport(
@@ -388,8 +392,8 @@ class Sender(_Party):
         labels, received, outcomes = simulate_batch(
             self._source, self._channel, bases, self.config, self._p0
         )
-        start, idx = self._retain(received)
-        kept = labels[idx]
+        start, keep = self._retain(received)
+        kept = labels[:keep.size][keep]
         self.truth.put(start, kept >> 1)
         self._letters.put(start, kept & 1)
         return received, outcomes
@@ -406,7 +410,7 @@ class Sender(_Party):
         """Ciphertext for an announced shift s: item m is padded with key
         bit m + s."""
         s = shift % self.config.n_items
-        ciphertext = (database ^ np.roll(self.final_bits, -s)).astype(np.uint8)
+        ciphertext = database ^ np.concatenate((self.final_bits[s:], self.final_bits[:s]))
         self.exchange = QueryExchange(
             target_index=-1, known_index=-1, shift=s, ciphertext=ciphertext, retrieved_bit=-1
         )
@@ -444,9 +448,9 @@ class Receiver(_Party):
 
     def absorb(self, received, outcomes):
         """Loss flags and outcomes of the round measured in bases()."""
-        start, idx = self._retain(received)
-        self._kept_bases.put(start, self._bases[idx])
-        self._kept_outcomes.put(start, outcomes[idx])
+        start, keep = self._retain(received)
+        self._kept_bases.put(start, self._bases[:keep.size][keep])
+        self._kept_outcomes.put(start, outcomes[:keep.size][keep])
 
     def sift(self, letters):
         """Sift against the Bits of the declared letters, whose pad bits

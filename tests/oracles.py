@@ -1,10 +1,11 @@
 """Reference implementations the tests check the package against.
 
 Nothing in qpqsim calls these: the scalar sift is the per-photon verdict
-that sift_batch vectorizes, the known-count law is the exact distribution
-the session statistics are tested against, and the branch weights, basis
-states and overlaps spell out by hand what the package computes from
-tables.
+that sift_batch vectorizes, the retention rule in index form is what the
+parties' loss-flag masks select, the known-count law is the exact
+distribution the session statistics are tested against, and the branch
+weights, basis states and overlaps spell out by hand what the package
+computes from tables.
 scipy is imported only inside known_count_distribution, so importing this
 module loads no scipy.stats.
 """
@@ -39,6 +40,16 @@ def sift(basis, outcome, declaration):
     if outcome == declaration:
         return None
     return 1 if Basis(basis) is Basis.B else 0
+
+
+def retain_indices(received, missing):
+    """The retention rule in index form: the indices in the round of the
+    first received photons, at most missing of them, and how many of the
+    round's photons count as sent: up to the last retained one when the
+    key completes in this round, else all of them."""
+    idx = np.flatnonzero(received)[:missing]
+    used = idx[-1] + 1 if idx.size == missing else len(received)
+    return idx, int(used)
 
 
 @dataclass(frozen=True)

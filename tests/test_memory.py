@@ -6,7 +6,9 @@ inside the 12 MiB this test allows for everything it allocates (the
 inputs are built before tracing starts). With one byte per retained
 photon in each of its arrays it traced about 24 MiB in both modes.
 
-A received frame is held once too, in the one buffer it is read into.
+A received frame is held once too, in the one buffer it is read into,
+and a round's retained photons are picked through its loss flags, with
+no index array.
 """
 
 import socket
@@ -69,3 +71,16 @@ def test_received_frame_is_read_into_one_buffer():
     assert not sender.is_alive()
     assert len(msg.letters) == count and msg.letters.body.tobytes() == body.tobytes()
     assert peak <= 1.1 * len(frame), f"traced peak {peak / len(frame):.3f} x the frame"
+
+
+def test_lossless_round_is_retained_without_an_index_array():
+    # a round that leaves the key incomplete; an int64 index of its
+    # photons alone would take 8 bytes per photon
+    config = protocol.SessionConfig(n_items=protocol.ROUND, substrings=2, theta=0.6)
+    receiver = protocol.Receiver(config)
+    receiver.bases(protocol.ROUND)
+    received = np.ones(protocol.ROUND, dtype=bool)
+    outcomes = np.ones(protocol.ROUND, dtype=np.uint8)
+    _, peak = _traced_peak(lambda: receiver.absorb(received, outcomes))
+    assert receiver.retained == receiver.sent == protocol.ROUND
+    assert peak < 4 * protocol.ROUND, f"traced peak {peak / protocol.ROUND:.2f} bytes per photon"

@@ -2,10 +2,13 @@ import ast
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import sift
+from hypothesis import example, given
+from hypothesis import strategies as st
+from oracles import retain_indices, sift
 
 from qpqsim import planner, protocol, wire
 from qpqsim.errors import (
@@ -262,6 +265,61 @@ def test_keys_and_report_do_not_depend_on_round_size(monkeypatch):
         assert np.array_equal(final.bits, first_final.bits)
         assert np.array_equal(final.alice_mask, first_final.alice_mask)
         assert report.to_dict() == first_report.to_dict()
+
+
+def check_retention(flags, missing, prefix, flag_dtype=bool):
+    """One round of the given loss flags, into parties that have retained
+    prefix photons and miss missing more, against retain_indices."""
+    received = np.array(flags, dtype=bool)
+    size = received.size
+    rng = np.random.default_rng([size, missing, prefix])
+    labels = rng.integers(0, 4, size, dtype=np.uint8)
+    outcomes = rng.integers(0, 2, size, dtype=np.uint8)
+    idx, used = retain_indices(received, missing)
+    config = make_config(n_items=prefix + missing, substrings=1)
+    party = protocol._Party(config, 0)
+    sender, receiver = protocol.Sender(config), protocol.Receiver(config)
+    for each in (party, sender, receiver):
+        each.retained, each.sent, each.received = prefix, 100, 90
+    start, keep = party._retain(received)
+    assert start == prefix
+    assert np.flatnonzero(keep).tolist() == idx.tolist()
+    bases = receiver.bases(size)
+    with mock.patch.object(protocol, "simulate_batch", lambda *args: (labels, received, outcomes)):
+        sender.transmit(bases)
+    receiver.absorb(received.astype(flag_dtype), outcomes)
+
+    def placed(values):
+        return [0] * prefix + values[idx].tolist() + [0] * (missing - idx.size)
+
+    assert sender.truth.unpack().tolist() == placed(labels >> 1)
+    assert sender.declaration().unpack().tolist() == placed(labels & 1)
+    assert receiver._kept_bases.unpack().tolist() == placed(bases)
+    assert receiver._kept_outcomes.unpack().tolist() == placed(outcomes)
+    counters = (prefix + idx.size, 100 + used, 90 + int(np.count_nonzero(received[:used])))
+    for each in (party, sender, receiver):
+        assert (each.retained, each.sent, each.received) == counters
+
+
+@given(
+    flags=st.lists(st.booleans(), min_size=1, max_size=150),
+    missing=st.integers(1, 160),
+    prefix=st.integers(0, 20),
+)
+@example(flags=[False] * 9, missing=3, prefix=5)  # all photons lost
+@example(flags=[True] * 9, missing=30, prefix=0)  # all received, key incomplete
+@example(flags=[True] * 9, missing=9, prefix=3)  # all received, key completes
+@example(flags=[False, False, True, True], missing=1, prefix=7)  # missing = 1
+@example(flags=[True, False, True], missing=1, prefix=0)  # cut at the first photon
+@example(flags=[False, True, False, True], missing=2, prefix=1)  # cut at the last photon
+def test_retention_matches_the_index_rule(flags, missing, prefix):
+    check_retention(flags, missing, prefix)
+
+
+def test_receiver_masks_with_uint8_loss_flags():
+    # indexing with uint8 0/1 flags gathers photons 0 and 1, not the
+    # received ones, so the flags must become bools first
+    check_retention([0, 1, 1, 0, 1, 0, 0, 1, 1, 0], 4, 2, flag_dtype=np.uint8)
 
 
 def test_photon_budget_cap(monkeypatch):
