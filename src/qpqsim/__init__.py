@@ -12,9 +12,8 @@ from .planner import (
     table_generator,
 )
 from .protocol import (
-    FinalKey,
+    Key,
     QueryExchange,
-    RawKey,
     Receiver,
     Sender,
     SessionConfig,
@@ -42,10 +41,9 @@ __all__ = [
     "Basis",
     "CarrierLabel",
     "DensityMatrix",
-    "FinalKey",
+    "Key",
     "PlanResult",
     "QueryExchange",
-    "RawKey",
     "Receiver",
     "Sender",
     "SessionConfig",

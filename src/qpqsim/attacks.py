@@ -215,7 +215,7 @@ def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=
         # substring-major like a raw key, so _fold ANDs each trial's k photons
         success = protocol.Bits.of((codes == 1).reshape(-1, substrings).T)
         all_known = protocol._fold(success, substrings, len(codes) // substrings, np.bitwise_and)
-        known += int(np.count_nonzero(all_known))
+        known += int(np.bitwise_count(all_known.body).sum())
     q_hat = known / trials
     sigma_q = math.sqrt(max(q_hat * (1.0 - q_hat), 1e-300) / trials)
 

@@ -12,7 +12,7 @@ Every k*N array of a session (the sender's truth bits and letters, the
 receiver's kept bases and outcomes, her mask and decoded bits) is a Bits,
 one bit per retained photon: each round packs its retained photons into
 place, the sift works byte-wise, and the fold reads whole substrings.
-Only the N-bit final keys take a byte per bit.
+The N-bit final keys are Bits too: raw and final keys are both a Key.
 
 Randomness is split across three seeded streams (photon source, channel,
 receiver measurement) plus a derived query stream, with a fixed number of
@@ -138,11 +138,11 @@ class Bits:
 
 
 @dataclass
-class RawKey:
-    """k*N retained coded bits, one per photon. The sender's truth bits
-    are ground truth; the receiver holds a conclusiveness mask and her
-    decoded values (zero where unknown). bits, alice_mask and alice_bits
-    unpack on access."""
+class Key:
+    """A raw key of k*N retained coded bits, one per photon, or the N-bit
+    final key folded from it. The sender's truth bits are ground truth;
+    the receiver holds a conclusiveness mask and her decoded values (zero
+    where unknown). bits, alice_mask and alice_bits unpack on access."""
 
     truth: Bits | None  # None in the receiver's view
     mask: Bits
@@ -166,30 +166,22 @@ class RawKey:
         """uint8, the receiver's values, zero where unknown."""
         return self.alice.unpack().view(np.uint8)
 
-
-@dataclass
-class FinalKey:
-    """N-bit XOR-folded key with the receiver's knowledge of it."""
-
-    bits: np.ndarray | None
-    alice_mask: np.ndarray
-    alice_bits: np.ndarray
-
     @property
     def known_count(self):
-        return int(np.count_nonzero(self.alice_mask))
+        """Conclusive positions, counted on the packed mask."""
+        return int(np.bitwise_count(self.mask.body).sum())
 
 
 def _fold(raw, substrings, n_items, op=np.bitwise_xor):
     """op (XOR or AND) of the k substrings of N bits of the raw Bits, as N
-    bools. With N % 8 == 0 the substrings are whole rows of bytes;
+    Bits. With N % 8 == 0 the substrings are whole rows of bytes;
     otherwise they are unpacked one at a time."""
     if n_items % 8 == 0:
-        return Bits(n_items, op.reduce(raw.body.reshape(substrings, -1), axis=0)).unpack()
+        return Bits(n_items, op.reduce(raw.body.reshape(substrings, -1), axis=0))
     out = raw.unpack(0, n_items)
     for index in range(1, substrings):
         op(out, raw.unpack(index * n_items, (index + 1) * n_items), out=out)
-    return out
+    return Bits.of(out)
 
 
 def xor_compress(raw, substrings, n_items):
@@ -204,11 +196,9 @@ def xor_compress(raw, substrings, n_items):
         )
     mask = _fold(raw.mask, substrings, n_items, np.bitwise_and)
     alice = _fold(raw.alice, substrings, n_items)
-    alice &= mask
-    bits = None
-    if raw.truth is not None:
-        bits = _fold(raw.truth, substrings, n_items).view(np.uint8)
-    return FinalKey(bits=bits, alice_mask=mask, alice_bits=alice.view(np.uint8))
+    alice.body &= mask.body
+    truth = None if raw.truth is None else _fold(raw.truth, substrings, n_items)
+    return Key(truth, mask, alice)
 
 
 # --- session engine ----------------------------------------------------------
@@ -378,13 +368,18 @@ class Sender(_Party):
         # a carrier label holds its coded bit (label >> 1) and letter (label & 1)
         self.truth = Bits(config.raw_length)
         self._letters = Bits(config.raw_length)
-        self.final_bits = self.exchange = None
+        self.final = self.exchange = None  # final: the Bits folded from truth
         self.conclusive_count = 0  # the receiver's, as she acknowledges it
 
     @property
     def raw_bits(self):
         """The truth bits, unpacked to uint8."""
         return self.truth.unpack().view(np.uint8)
+
+    @property
+    def final_bits(self):
+        """The final key bits, unpacked to uint8."""
+        return self.final.unpack().view(np.uint8)
 
     def transmit(self, bases):
         """Send one round measured in the receiver's bases; returns the
@@ -402,15 +397,15 @@ class Sender(_Party):
         """The Bits of the retained carriers' letters; fixes the final
         key."""
         cfg = self.config
-        self.final_bits = _fold(self.truth, cfg.substrings, cfg.n_items).view(np.uint8)
+        self.final = _fold(self.truth, cfg.substrings, cfg.n_items)
         letters, self._letters = self._letters, None
         return letters
 
     def answer(self, database, shift):
         """Ciphertext for an announced shift s: item m is padded with key
         bit m + s."""
-        s = shift % self.config.n_items
-        ciphertext = database ^ np.concatenate((self.final_bits[s:], self.final_bits[:s]))
+        s, bits = shift % self.config.n_items, self.final_bits
+        ciphertext = database ^ np.concatenate((bits[s:], bits[:s]))
         self.exchange = QueryExchange(
             target_index=-1, known_index=-1, shift=s, ciphertext=ciphertext, retrieved_bit=-1
         )
@@ -458,9 +453,9 @@ class Receiver(_Party):
         cfg = self.config
         mask, alice_bits = sift_batch(self._kept_bases, self._kept_outcomes, letters)
         self._bases = self._kept_bases = self._kept_outcomes = None
-        self.raw = RawKey(None, mask, alice_bits)
+        self.raw = Key(None, mask, alice_bits)
         self.final = xor_compress(self.raw, cfg.substrings, cfg.n_items)
-        self.conclusive_count = int(np.bitwise_count(mask.body).sum())
+        self.conclusive_count = self.raw.known_count
         return self.conclusive_count
 
     def query(self, target_index):
@@ -512,7 +507,7 @@ def _distribute(config):
         if receiver.final.known_count:
             break
     raw = replace(receiver.raw, truth=sender.truth)
-    final = replace(receiver.final, bits=sender.final_bits)
+    final = replace(receiver.final, truth=sender.final)
     return sender, receiver, raw, final
 
 

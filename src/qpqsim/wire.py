@@ -24,7 +24,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import CapacityError, ProtocolAbort, QpqError
+from .errors import CapacityError, DomainError, ProtocolAbort, QpqError
 from .protocol import (
     PHOTON_CAP, PUBLIC_CONFIG, ROUND, Bits, Receiver, Sender, check_database, check_target,
 )
@@ -474,6 +474,8 @@ class WireServer:
     def __init__(self, host, port, config, database, sessions=None):
         check_config(config)  # no client could match a config HELLO cannot carry
         self._database = check_database(config, database)
+        if sessions is not None and sessions < 1:
+            raise DomainError(f"session count must be >= 1, got {sessions}")
         self._srv = socket.create_server((host, port))
         self._config = config
         self._sessions = sessions

@@ -2,7 +2,8 @@
 
 Nothing in qpqsim calls these: the scalar sift is the per-photon verdict
 that sift_batch vectorizes, the retention rule in index form is what the
-parties' loss-flag masks select, the known-count law is the exact
+parties' loss-flag masks select, the per-position fold is what
+xor_compress computes from whole bytes, the known-count law is the exact
 distribution the session statistics are tested against, and the branch
 weights, basis states and overlaps spell out by hand what the package
 computes from tables.
@@ -50,6 +51,24 @@ def retain_indices(received, missing):
     idx = np.flatnonzero(received)[:missing]
     used = idx[-1] + 1 if idx.size == missing else len(received)
     return idx, int(used)
+
+
+def xor_fold(truth, mask, alice, substrings, n_items):
+    """The final key position by position: bit i is the XOR of raw bits
+    i, N + i, ..., (k - 1)N + i, known when all k are conclusive, and the
+    receiver's value is the XOR of hers there, 0 where unknown. Returns
+    the three as lists of ints."""
+    final = ([], [], [])
+    for i in range(n_items):
+        column = range(i, substrings * n_items, n_items)
+        known = int(all(mask[j] for j in column))
+        bit = value = 0
+        for j in column:
+            bit ^= int(truth[j])
+            value ^= int(alice[j])
+        for out, item in zip(final, (bit, known, value & known)):
+            out.append(item)
+    return final
 
 
 @dataclass(frozen=True)

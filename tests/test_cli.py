@@ -252,6 +252,17 @@ def test_serve_on_port_in_use_exits_3_without_traceback(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("sessions", ["0", "-1"])
+def test_serve_fewer_than_one_session_exits_2_and_writes_no_file(tmp_path, capsys, sessions):
+    # each used to print "listening on", write sessions_handled 0 and exit 0
+    args = ["serve", "--address", "127.0.0.1:0", *SESSION, "--sessions", sessions]
+    code, out, err = run_cli(args, tmp_path, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: session count must be >= 1, got {sessions}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_database_file_exits_1_without_traceback(tmp_path):
     missing = str(tmp_path / "no-such-database.hex")
     done = run_cli_process(["run", *SESSION, "--item", "3", "--database", missing], tmp_path)

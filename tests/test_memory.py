@@ -6,6 +6,10 @@ inside the 12 MiB this test allows for everything it allocates (the
 inputs are built before tracing starts). With one byte per retained
 photon in each of its arrays it traced about 24 MiB in both modes.
 
+The N-bit final keys are packed too. With a byte per final-key bit, the
+same session traced 7.2 MB over the wire; it must now trace at most
+6 MiB there.
+
 A received frame is held once too, in the one buffer it is read into,
 and a round's retained photons are picked through its loss flags, with
 no index array.
@@ -53,6 +57,16 @@ def test_largest_t4_session_peaks_under_12_mib(run):
     retrieved, peak = _traced_peak(lambda: run(config, database, target))
     assert retrieved == database[target]
     assert peak <= LIMIT, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_largest_t4_session_over_the_wire_peaks_under_6_mib():
+    # each party held its N-bit final key a byte per bit: 7.2 MB
+    theta = planner.plan_min_k(N_ITEMS, 3.0, 0.2).theta
+    config = protocol.SessionConfig(n_items=N_ITEMS, substrings=4, theta=theta)
+    database = protocol.random_database(N_ITEMS, 1)
+    retrieved, peak = _traced_peak(lambda: _over_the_wire(config, database, 123457))
+    assert retrieved == database[123457]
+    assert peak <= 6 << 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_received_frame_is_read_into_one_buffer():

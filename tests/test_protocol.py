@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import retain_indices, sift
+from oracles import retain_indices, sift, xor_fold
 
 from qpqsim import planner, protocol, wire
 from qpqsim.errors import (
@@ -19,8 +19,7 @@ from qpqsim.errors import (
 )
 from qpqsim.protocol import (
     Bits,
-    FinalKey,
-    RawKey,
+    Key,
     SessionConfig,
     load_database,
     random_database,
@@ -140,7 +139,7 @@ def _raw(bits, mask):
     bits = np.array(bits, dtype=np.uint8)
     mask = np.array(mask, dtype=bool)
     alice = np.where(mask, bits, 0)
-    return RawKey(Bits.of(bits), Bits.of(mask), Bits.of(alice))
+    return Key(Bits.of(bits), Bits.of(mask), Bits.of(alice))
 
 
 def test_xor_compress_identity_at_k1():
@@ -167,6 +166,30 @@ def test_xor_compress_all_conclusive_and_errors():
     assert final.bits.tolist() == [(1 ^ 0 ^ 1), (0 ^ 1 ^ 0)]
     with pytest.raises(DomainError):
         xor_compress(raw, 2, 2)
+
+
+@given(
+    n_items=st.integers(1, 70),
+    substrings=st.integers(1, 5),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(n_items=8, substrings=1, seed=0)  # whole bytes, one substring
+@example(n_items=13, substrings=5, seed=1)  # unpacked substrings
+def test_xor_compress_matches_the_per_position_fold(n_items, substrings, seed):
+    # N runs over both _fold paths: whole rows of bytes when N % 8 == 0,
+    # unpacked substrings otherwise
+    truth, mask, alice = np.random.default_rng(seed).integers(0, 2, (3, substrings * n_items))
+    final = xor_compress(Key(Bits.of(truth), Bits.of(mask), Bits.of(alice)), substrings, n_items)
+    bits, known, value = xor_fold(truth, mask, alice, substrings, n_items)
+    assert final.bits.tolist() == bits
+    assert final.alice_mask.tolist() == [bool(b) for b in known]
+    assert final.alice_bits.tolist() == value
+    for field in (final.truth, final.mask, final.alice):
+        # repacking the unpacked bits gives the same bytes: the pad bits are zero
+        assert len(field) == n_items
+        assert field.body.tobytes() == Bits.of(field.unpack()).body.tobytes()
+    assert final.known_count == np.count_nonzero(final.alice_mask)
+    assert not final.alice_bits[~final.alice_mask].any()
 
 
 # --- session runs ----------------------------------------------------------------
@@ -244,6 +267,40 @@ def test_session_restarts_and_failure():
     cfg0 = make_config(n_items=1, substrings=1, theta=0.02, max_restarts=0)
     _, final0, report0 = run_key_distribution(cfg0)
     assert report0.success == (final0.known_count > 0)
+
+
+def test_transmission_frequencies_follow_the_born_table_and_loss_rate():
+    # frequencies, not bytes, so any draw scheme passes: 2^23 lossless
+    # photons run as the engine runs them, about 10^6 per (label, basis)
+    # cell with outcomes at random. Each cell's outcome-0 frequency lies
+    # within 5 sigma of the table; scaling the kernel's gathered
+    # probabilities by 1.005 moves the worst cell to |z| = 8.4
+    theta = 0.6
+    config = SessionConfig(n_items=2 ** 21, substrings=4, theta=theta)
+    sender, receiver = protocol.Sender(config), protocol.Receiver(config)
+    measured = np.empty(config.raw_length, dtype=np.uint8)  # 2 * basis + outcome
+    while not receiver.done:
+        start, bases = receiver.retained, receiver.bases(receiver.next_round())
+        received, outcomes = sender.transmit(bases)
+        receiver.absorb(received, outcomes)
+        measured[start:receiver.retained] = 2 * bases + outcomes
+    letters = sender.declaration()
+    counts = np.zeros(16, dtype=np.int64)
+    for start in range(0, config.raw_length, protocol.ROUND):
+        stop = start + protocol.ROUND
+        labels = 2 * sender.truth.unpack(start, stop) + letters.unpack(start, stop)
+        counts += np.bincount(4 * labels + measured[start:stop], minlength=16)
+    counts = counts.reshape(4, 2, 2)  # label, basis, outcome
+    n = counts.sum(axis=2)
+    p0 = born_outcome0_tables(theta)
+    sigma = np.sqrt(p0 * (1 - p0) / n)
+    assert n.min() > 0.95 * config.raw_length / 8
+    assert np.all(np.abs(counts[..., 0] / n - p0) <= 5 * sigma)
+    # the received fraction of a lossy session
+    lossy = make_config(n_items=50_000, substrings=2, loss_rate=0.3)
+    _, _, report = run_key_distribution(lossy)
+    sigma = math.sqrt(0.3 * 0.7 / report.photons_sent)
+    assert abs(report.photons_received / report.photons_sent - 0.7) <= 5 * sigma
 
 
 def test_keys_and_report_do_not_depend_on_round_size(monkeypatch):
@@ -344,12 +401,8 @@ def query_parties(monkeypatch, bits, alice_mask, alice_bits, *uniforms):
     n = len(bits)
     cfg = make_config(n_items=n)
     sender, receiver = protocol.Sender(cfg), protocol.Receiver(cfg)
-    sender.final_bits = np.array(bits, dtype=np.uint8)
-    receiver.final = FinalKey(
-        bits=np.zeros(n, dtype=np.uint8),
-        alice_mask=np.array(alice_mask, dtype=bool),
-        alice_bits=np.array(alice_bits, dtype=np.uint8),
-    )
+    sender.final = Bits.of(bits)
+    receiver.final = Key(None, Bits.of(alice_mask), Bits.of(alice_bits))
     monkeypatch.setattr(protocol, "query_stream", lambda *args: FixedUniform(*uniforms))
     return sender, receiver
 

@@ -585,6 +585,14 @@ def test_server_checks_the_database_size_before_it_listens():
         wire.WireServer("127.0.0.1", 0, make_config(), np.zeros(10))
 
 
+@pytest.mark.parametrize("sessions", [0, -1])
+def test_server_rejects_fewer_than_one_session_before_it_listens(monkeypatch, sessions):
+    # it used to listen, accept nothing and serve 0 sessions
+    monkeypatch.setattr(wire.socket, "create_server", lambda *args: pytest.fail("listened"))
+    with pytest.raises(DomainError, match=f"session count must be >= 1, got {sessions}"):
+        wire.WireServer("127.0.0.1", 0, make_config(), random_database(64, 9), sessions=sessions)
+
+
 @pytest.mark.parametrize(
     "bits, target, message",
     [
