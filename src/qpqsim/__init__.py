@@ -27,7 +27,6 @@ from .qubits import (
     Basis,
     CarrierLabel,
     DensityMatrix,
-    StateVector,
     attack_state,
     carrier_state,
     fidelity,
@@ -48,7 +47,6 @@ __all__ = [
     "Sender",
     "SessionConfig",
     "SessionReport",
-    "StateVector",
     "attack_state",
     "carrier_state",
     "conclusive_probability",

@@ -24,12 +24,13 @@ from ._kernels import conclusiveness_trials, usd_trials
 from .errors import CapacityError, DomainError
 from .planner import MAX_SUBSTRINGS
 from .qubits import (
-    AttackLabel,
     CarrierLabel,
     DensityMatrix,
+    _attack_amps,
+    _born_weights,
+    _carrier_amps,
     _check_theta,
-    _outcome0_table,
-    attack_state,
+    _outcome0_vectors,
     carrier_state,
     fidelity,  # re-exported: perfbench/test_bench.py checks attacks.fidelity
 )
@@ -41,41 +42,6 @@ DEFAULT_TRIALS = 10 ** 6
 def _check_k(substrings, cap=MAX_JOINT_QUBITS):
     if not 1 <= substrings <= cap:
         raise CapacityError(f"substring count must lie in [1, {cap}], got {substrings}")
-
-
-@dataclass(frozen=True)
-class UsdPovm:
-    """Optimal equal-prior unambiguous discrimination of {|0>, |0'>}.
-
-    e0 fires only on |0>, e1 only on |0'>, e_fail absorbs the rest;
-    success probability on either input is 1 - cos(theta).
-    """
-
-    e0: np.ndarray
-    e1: np.ndarray
-    e_fail: np.ndarray
-    success_probability: float
-
-    def outcome_probabilities(self, state):
-        """Born weights (p_e0, p_e1, p_fail) for a given input state."""
-        rho = np.outer(state.amps, state.amps.conj())
-        return tuple(
-            float(np.trace(e @ rho).real) for e in (self.e0, self.e1, self.e_fail)
-        )
-
-
-def usd_povm(theta):
-    _check_theta(theta)
-    cos = math.cos(theta)
-    # each conclusive element projects on the vector orthogonal to the
-    # *other* candidate, scaled so both inputs succeed with 1 - cos(theta)
-    scale = 1.0 / (1.0 + cos)
-    k1p = carrier_state(CarrierLabel.K1P, theta).amps  # orthogonal to |0'>
-    k1 = carrier_state(CarrierLabel.K1, theta).amps    # orthogonal to |0>
-    e0 = scale * np.outer(k1p, k1p.conj())
-    e1 = scale * np.outer(k1, k1.conj())
-    e_fail = np.eye(2, dtype=complex) - e0 - e1
-    return UsdPovm(e0=e0, e1=e1, e_fail=e_fail, success_probability=1.0 - cos)
 
 
 @dataclass(frozen=True)
@@ -92,8 +58,8 @@ def parity_mixtures(theta, substrings):
     sums every k-fold product projector with the sign of its parity."""
     _check_theta(theta)
     _check_k(substrings)
-    p0 = carrier_state(CarrierLabel.K0, theta).density().entries
-    p1 = carrier_state(CarrierLabel.K0P, theta).density().entries
+    zero, primed = carrier_state(CarrierLabel.K0, theta), carrier_state(CarrierLabel.K0P, theta)
+    p0, p1 = np.outer(zero, zero.conj()), np.outer(primed, primed.conj())
     total = diff = np.ones((1, 1), dtype=complex)
     for _ in range(substrings):
         total, diff = np.kron(total, p0 + p1), np.kron(diff, p0 - p1)
@@ -197,13 +163,17 @@ def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=
         raise DomainError("n_items, substrings and trials must all be >= 1")
     _check_theta(theta)
     rng = rng if rng is not None else np.random.default_rng(0)
-    povm = usd_povm(theta)
+    cos = math.cos(theta)
 
-    # Born weights per true bit value: rows (bit 0 -> |0>, bit 1 -> |0'>)
-    p_e0_0, p_e1_0, _ = povm.outcome_probabilities(carrier_state(CarrierLabel.K0, theta))
-    p_e0_1, p_e1_1, _ = povm.outcome_probabilities(carrier_state(CarrierLabel.K0P, theta))
-    p_right = np.array([p_e0_0, p_e1_1])
-    p_wrong = np.array([p_e1_0, p_e0_1])
+    # The optimal equal-prior discriminator of {|0>, |0'>}: the element
+    # naming |0> projects on |1'>, orthogonal to |0'>, and the one naming
+    # |0'> on |1>, both scaled so either input succeeds with 1 - cos(theta).
+    # Rows are the true bit (0 -> |0>, 1 -> |0'>), columns the named bit.
+    carriers = _carrier_amps(theta)
+    truths = carriers[[CarrierLabel.K0, CarrierLabel.K0P]]
+    elements = carriers[[CarrierLabel.K1P, CarrierLabel.K1]]
+    weights = 1.0 / (1.0 + cos) * _born_weights(truths, elements)
+    p_right, p_wrong = weights.diagonal(), weights[[0, 1], [1, 0]]
 
     # every truth bit is drawn before the first discrimination uniform
     truth = _coins(rng, trials * substrings)
@@ -219,7 +189,7 @@ def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=
     q_hat = known / trials
     sigma_q = math.sqrt(max(q_hat * (1.0 - q_hat), 1e-300) / trials)
 
-    analytic = n_items * (1.0 - math.cos(theta)) ** substrings
+    analytic = n_items * (1.0 - cos) ** substrings
     return AttackReport(
         kind="individual_usd",
         analytic=analytic,
@@ -228,7 +198,7 @@ def alice_individual_usd(n_items, theta, substrings, trials=DEFAULT_TRIALS, rng=
         trials=trials,
         params={"theta": theta, "substrings": substrings, "n_items": n_items},
         extra={
-            "per_photon_success": povm.success_probability,
+            "per_photon_success": 1.0 - cos,
             "wrong_identifications": wrong,
         },
     )
@@ -256,7 +226,7 @@ def bob_conclusiveness_attack(theta, want_conclusive, trials=DEFAULT_TRIALS, rng
 
     # P(outcome 0 | attack state, basis): both half-angle states are
     # symmetric between the two conclusive branches.
-    p0_attack = _outcome0_table([attack_state(a, theta).amps for a in AttackLabel], theta)
+    p0_attack = _born_weights(_attack_amps(theta), _outcome0_vectors(theta))
 
     coins = _coins(rng, 2 * trials)
     # kept round by round, as Receiver.absorb keeps them

@@ -161,7 +161,8 @@ def _parse_address(text):
 def cmd_serve(args):
     host, port = _parse_address(args.address)
     config = _session_config(args)
-    wire.check_config(config)  # before a database of N bits is drawn or read
+    wire.check_config(config)  # both before a database of N bits is drawn or read
+    wire.check_sessions(args.sessions)
     database = _database_for(args)
     try:
         server = wire.WireServer(host, port, config, database, sessions=args.sessions)

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
+from .qubits import _check_theta
 
 THETA_CAP = math.pi / 4  # larger theta weakens database security
 MAX_SUBSTRINGS = 64      # beyond this p^k underflows any practical size
@@ -22,8 +23,7 @@ _EDGE = 1e-12
 
 def conclusive_probability(theta):
     """Fraction of retained photons the receiver decodes: sin^2(theta)/2."""
-    if not 0.0 < theta < math.pi / 2:
-        raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
+    _check_theta(theta)
     return math.sin(theta) ** 2 / 2.0
 
 

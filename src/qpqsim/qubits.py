@@ -1,7 +1,8 @@
 """Exact finite-dimensional quantum state kernel.
 
-Carrier and attack state construction, Born-rule outcome tables, and
-the fidelity / trace-distance metrics used by the attack bounds. All
+Carrier and attack states as complex amplitude rows, the one helper
+that computes Born weights, the outcome tables built on it, and the
+fidelity / trace-distance metrics used by the attack bounds. All
 amplitudes are complex double precision; the states handled here happen
 to be real-valued.
 """
@@ -12,7 +13,6 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 
-NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-10
@@ -55,42 +55,13 @@ def _check_theta(theta):
         raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
 
 
-class StateVector:
-    """Normalized complex amplitude vector over a 2^m dimensional space."""
-
-    __slots__ = ("amps",)
-
-    def __init__(self, amps):
-        amps = np.asarray(amps, dtype=complex)
-        if amps.ndim != 1:
-            raise DomainError("state amplitudes must be a flat vector")
-        dim = amps.shape[0]
-        if dim < 2 or dim & (dim - 1):
-            raise DomainError(f"dimension must be a power of 2 >= 2, got {dim}")
-        norm = np.sum(np.abs(amps) ** 2)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise DomainError(f"state is not normalized: sum |a|^2 = {norm!r}")
-        self.amps = amps
-
-    @property
-    def dim(self):
-        return self.amps.shape[0]
-
-    def density(self):
-        """Projector |psi><psi| as a DensityMatrix."""
-        return DensityMatrix(np.outer(self.amps, self.amps.conj()))
-
-    def __repr__(self):
-        return f"StateVector({np.round(self.amps, 6)!r})"
-
-
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite operator."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = np.asarray(entries, dtype=complex)
+        entries = np.asarray(entries)  # the shape is checked before any copy
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DomainError("density matrix must be square")
         dim = entries.shape[0]
@@ -98,6 +69,7 @@ class DensityMatrix:
             raise CapacityError(
                 f"density operators are capped at dim {MAX_DENSITY_DIM}, got {dim}"
             )
+        entries = entries.astype(complex, copy=False)
         if not np.allclose(entries, entries.conj().T, rtol=0.0, atol=HERMITIAN_TOL):
             raise DomainError("density matrix is not Hermitian")
         trace = np.trace(entries).real
@@ -111,9 +83,6 @@ class DensityMatrix:
     def dim(self):
         return self.entries.shape[0]
 
-    def __repr__(self):
-        return f"DensityMatrix(dim={self.dim})"
-
 
 def _carrier_amps(theta):
     """Rows K0, K1, K0', K1': the four carrier amplitude vectors."""
@@ -121,23 +90,27 @@ def _carrier_amps(theta):
     return np.array([(1.0, 0.0), (0.0, 1.0), (c, s), (s, -c)], dtype=complex)
 
 
+def _attack_amps(theta):
+    """Rows A0'', A1'': the two half-angle attack amplitude vectors."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([(c, s), (s, -c)], dtype=complex)
+
+
 def carrier_state(label, theta):
-    """Two-dimensional state vector for one of the four carriers.
+    """Amplitude row of one of the four carriers.
 
     The primed pair is rotated by theta against the computational pair and
     stays orthonormal for every theta.
     """
     _check_theta(theta)
-    return StateVector(_carrier_amps(theta)[CarrierLabel(label)])
+    return _carrier_amps(theta)[CarrierLabel(label)]
 
 
 def attack_state(which, theta):
-    """Half-angle state used by the sender-side conclusiveness attack."""
+    """Amplitude row of a half-angle state of the sender-side
+    conclusiveness attack."""
     _check_theta(theta)
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    if AttackLabel(which) is AttackLabel.A0PP:
-        return StateVector(np.array([c, s], dtype=complex))
-    return StateVector(np.array([s, -c], dtype=complex))
+    return _attack_amps(theta)[AttackLabel(which)]
 
 
 def fidelity(rho, sigma):
@@ -167,16 +140,16 @@ def trace_distance(rho, sigma):
     return float(0.5 * np.sum(np.abs(ev)))
 
 
-def _outcome0_table(states, theta):
-    """P(outcome 0 | state, basis) for each row of state amplitudes and
-    each basis, as a C-contiguous (rows, 2) float array."""
-    carriers = _carrier_amps(theta)
-    table = np.empty((len(states), 2), dtype=np.float64)
-    for row, amps in enumerate(states):
-        for basis in Basis:
-            # the outcome-0 states of B and B' are the K0 and K0' carriers
-            table[row, basis] = abs(np.vdot(carriers[2 * basis], amps)) ** 2
-    return table
+def _born_weights(states, vectors):
+    """|<v|psi>|^2 for each state row psi (axis 0) and each outcome vector v
+    (axis 1), as a C-contiguous float array: every Born weight of the
+    package is computed here."""
+    return np.array([[abs(np.vdot(v, psi)) ** 2 for v in vectors] for psi in states])
+
+
+def _outcome0_vectors(theta):
+    """The outcome-0 states of B and B', the K0 and K0' carriers."""
+    return _carrier_amps(theta)[0::2]
 
 
 def born_outcome0_tables(theta):
@@ -186,4 +159,4 @@ def born_outcome0_tables(theta):
     vectorized transmission kernel.
     """
     _check_theta(theta)
-    return _outcome0_table(_carrier_amps(theta), theta)
+    return _born_weights(_carrier_amps(theta), _outcome0_vectors(theta))

@@ -349,6 +349,13 @@ def check_config(config):
                             f"DECLARATION frame, over the {MAX_FRAME_LENGTH} cap")
 
 
+def check_sessions(sessions):
+    """A server hosts at least one session, or runs until stopped (None);
+    serve checks this before it draws its database."""
+    if sessions is not None and sessions < 1:
+        raise DomainError(f"session count must be >= 1, got {sessions}")
+
+
 def session_budget(config):
     """Seconds a served or querying session may take: both ends know it
     before the first frame, and a server takes it from its own config."""
@@ -474,8 +481,7 @@ class WireServer:
     def __init__(self, host, port, config, database, sessions=None):
         check_config(config)  # no client could match a config HELLO cannot carry
         self._database = check_database(config, database)
-        if sessions is not None and sessions < 1:
-            raise DomainError(f"session count must be >= 1, got {sessions}")
+        check_sessions(sessions)
         self._srv = socket.create_server((host, port))
         self._config = config
         self._sessions = sessions

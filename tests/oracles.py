@@ -4,9 +4,10 @@ Nothing in qpqsim calls these: the scalar sift is the per-photon verdict
 that sift_batch vectorizes, the retention rule in index form is what the
 parties' loss-flag masks select, the per-position fold is what
 xor_compress computes from whole bytes, the known-count law is the exact
-distribution the session statistics are tested against, and the branch
-weights, basis states and overlaps spell out by hand what the package
-computes from tables.
+distribution the session statistics are tested against, the dense USD
+POVM is the discriminator whose Born weights alice_individual_usd takes
+from qubits._born_weights, and the branch weights, basis states and
+overlaps spell out by hand what the package computes from tables.
 scipy is imported only inside known_count_distribution, so importing this
 module loads no scipy.stats.
 """
@@ -21,7 +22,6 @@ from qpqsim.qubits import (
     AttackLabel,
     Basis,
     CarrierLabel,
-    StateVector,
     _check_theta,
     attack_state,
     carrier_state,
@@ -107,12 +107,10 @@ def known_count_distribution(n_items, p, substrings):
 
 
 def basis_states(basis, theta):
-    """The two orthonormal outcome states of a measurement basis."""
+    """The two orthonormal outcome states of a measurement basis, as
+    amplitude rows."""
     if Basis(basis) is Basis.B:
-        return (
-            StateVector(np.array([1.0, 0.0], dtype=complex)),
-            StateVector(np.array([0.0, 1.0], dtype=complex)),
-        )
+        return np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
     return (
         carrier_state(CarrierLabel.K0P, theta),
         carrier_state(CarrierLabel.K1P, theta),
@@ -137,5 +135,43 @@ def conclusive_branch_weights(theta, want_conclusive=True):
 
 
 def overlap(left, right):
-    """Inner product <left|right> of two StateVectors."""
-    return complex(np.vdot(left.amps, right.amps))
+    """Inner product <left|right> of two amplitude rows."""
+    return complex(np.vdot(left, right))
+
+
+def projector(amps):
+    """Density matrix |psi><psi| of an amplitude row."""
+    return np.outer(amps, amps.conj())
+
+
+@dataclass(frozen=True)
+class UsdPovm:
+    """Optimal equal-prior unambiguous discrimination of {|0>, |0'>}.
+
+    e0 fires only on |0>, e1 only on |0'>, e_fail absorbs the rest;
+    success probability on either input is 1 - cos(theta).
+    """
+
+    e0: np.ndarray
+    e1: np.ndarray
+    e_fail: np.ndarray
+    success_probability: float
+
+    def outcome_probabilities(self, amps):
+        """Born weights (p_e0, p_e1, p_fail) for an input amplitude row."""
+        rho = projector(amps)
+        return tuple(
+            float(np.trace(e @ rho).real) for e in (self.e0, self.e1, self.e_fail)
+        )
+
+
+def usd_povm(theta):
+    _check_theta(theta)
+    cos = math.cos(theta)
+    # each conclusive element projects on the vector orthogonal to the
+    # *other* candidate, scaled so both inputs succeed with 1 - cos(theta)
+    scale = 1.0 / (1.0 + cos)
+    e0 = scale * projector(carrier_state(CarrierLabel.K1P, theta))  # orthogonal to |0'>
+    e1 = scale * projector(carrier_state(CarrierLabel.K1, theta))   # orthogonal to |0>
+    e_fail = np.eye(2, dtype=complex) - e0 - e1
+    return UsdPovm(e0=e0, e1=e1, e_fail=e_fail, success_probability=1.0 - cos)

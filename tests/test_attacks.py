@@ -6,7 +6,7 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
-from oracles import basis_states, conclusive_branch_weights, overlap, sift
+from oracles import basis_states, conclusive_branch_weights, overlap, projector, sift, usd_povm
 
 from qpqsim import attacks, planner, protocol
 from qpqsim.attacks import (
@@ -17,7 +17,6 @@ from qpqsim.attacks import (
     helstrom_guess,
     joint_usd_bound,
     parity_mixtures,
-    usd_povm,
 )
 from qpqsim.errors import CapacityError, DomainError
 from qpqsim.qubits import (
@@ -32,7 +31,7 @@ from qpqsim.qubits import (
 THETAS = np.linspace(0.05, math.pi / 2 - 0.05, 20)
 
 
-# --- USD POVM -------------------------------------------------------------------
+# --- USD POVM (the dense reference in oracles) -----------------------------------
 
 
 def test_usd_povm_completeness_and_unambiguity():
@@ -55,6 +54,9 @@ def test_usd_povm_completeness_and_unambiguity():
 def test_usd_povm_success_probability_values():
     assert usd_povm(0.284).success_probability == pytest.approx(0.04005, abs=5e-5)
     assert usd_povm(math.pi / 2 - 1e-6).success_probability == pytest.approx(1.0, abs=1e-5)
+    for theta in (0.284, 0.7, 1.2):
+        report = alice_individual_usd(10, theta, 1, trials=1)
+        assert report.extra["per_photon_success"] == usd_povm(theta).success_probability
 
 
 def test_usd_povm_elements_are_psd():
@@ -92,6 +94,17 @@ def test_individual_usd_limit_reads_everything():
 def test_individual_usd_unambiguity_is_exact():
     report = alice_individual_usd(100, 0.9, 2, trials=10 ** 6, rng=np.random.default_rng(3))
     assert report.extra["wrong_identifications"] == 0
+
+
+@pytest.mark.parametrize("n_items, substrings, trials", [(0, 2, 10), (10, 0, 10), (10, 2, 0)])
+def test_individual_usd_rejects_counts_below_one(n_items, substrings, trials):
+    with pytest.raises(DomainError, match="n_items, substrings and trials must all be >= 1"):
+        alice_individual_usd(n_items, 0.5, substrings, trials=trials)
+
+
+def test_bob_attack_rejects_fewer_than_one_trial():
+    with pytest.raises(DomainError, match="trials must be >= 1"):
+        bob_conclusiveness_attack(0.5, True, trials=0)
 
 
 # --- rounds ------------------------------------------------------------------------
@@ -233,10 +246,10 @@ def test_attacks_land_on_their_rates_with_mt19937():
 
 def test_parity_mixtures_single_qubit_classes():
     pair = parity_mixtures(0.61, 1)
-    even = carrier_state(CarrierLabel.K0, 0.61).density()
-    odd = carrier_state(CarrierLabel.K0P, 0.61).density()
-    assert np.allclose(pair.rho_even.entries, even.entries, atol=1e-12)
-    assert np.allclose(pair.rho_odd.entries, odd.entries, atol=1e-12)
+    even = projector(carrier_state(CarrierLabel.K0, 0.61))
+    odd = projector(carrier_state(CarrierLabel.K0P, 0.61))
+    assert np.allclose(pair.rho_even.entries, even, atol=1e-12)
+    assert np.allclose(pair.rho_odd.entries, odd, atol=1e-12)
 
 
 def test_parity_mixtures_structure():
@@ -251,8 +264,8 @@ def test_parity_mixtures_structure():
 def test_parity_mixtures_match_sum_of_product_projectors():
     # reference: the uniform mixture of each parity class's k-fold products
     for theta in (0.2, math.pi / 4, 1.2):
-        zero = carrier_state(CarrierLabel.K0, theta).amps
-        one = carrier_state(CarrierLabel.K0P, theta).amps
+        zero = carrier_state(CarrierLabel.K0, theta)
+        one = carrier_state(CarrierLabel.K0P, theta)
         for k in range(1, 6):
             sums = np.zeros((2, 2 ** k, 2 ** k), dtype=complex)
             for bits in product((0, 1), repeat=k):
@@ -282,6 +295,8 @@ def test_helstrom_guess_values_and_limits():
     assert helstrom_guess(math.pi / 4, 1) == pytest.approx(0.85355, abs=5e-5)
     assert helstrom_guess(0.05, 12) == pytest.approx(0.5, abs=1e-9)
     assert helstrom_guess(math.pi / 2 - 1e-9, 1) == pytest.approx(1.0, abs=1e-8)
+    with pytest.raises(DomainError, match="substring count must be >= 1"):
+        helstrom_guess(0.5, 0)
 
 
 def test_helstrom_cross_check_against_trace_distance():

@@ -6,6 +6,7 @@ import socket
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -261,6 +262,24 @@ def test_serve_fewer_than_one_session_exits_2_and_writes_no_file(tmp_path, capsy
     assert out == ""
     assert err.startswith(f"error: session count must be >= 1, got {sessions}")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_serve_rejects_the_session_count_before_it_draws_the_database(tmp_path, capsys):
+    # a rejected serve used to draw its N-bit database first: 36 MB at N = 4*10^6
+    peaks = {}
+    for n_items in (64, 4 * 10 ** 6):
+        args = ["serve", "--address", "127.0.0.1:0", "--N", str(n_items), "--k", "1",
+                "--theta", "0.3", "--seed", "1", "--sessions", "0"]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(args, tmp_path, capsys)
+            peaks[n_items] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: session count must be >= 1, got 0")
+        assert list(tmp_path.iterdir()) == []
+    assert peaks[4 * 10 ** 6] < peaks[64] + (256 << 10)
 
 
 def test_missing_database_file_exits_1_without_traceback(tmp_path):

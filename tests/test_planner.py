@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -44,6 +45,24 @@ def test_solve_theta_reference_cells():
 def test_solve_theta_infeasible_target():
     with pytest.raises(InfeasibleError, match="p <= 1/2"):
         planner.solve_theta(10, 1, 9)
+
+
+@pytest.mark.parametrize("n_items, substrings", [(0, 3), (10, 0)])
+def test_solve_theta_rejects_an_empty_database_or_no_substring(n_items, substrings):
+    with pytest.raises(DomainError, match="need n_items >= 1 and substrings >= 1"):
+        planner.solve_theta(n_items, substrings, 1)
+
+
+@pytest.mark.parametrize("closed_form", [planner.expected_known_bits, planner.failure_probability])
+@pytest.mark.parametrize("args, message", [
+    ((0, 0.1, 3), "database size must be >= 1, got 0"),
+    ((10, 0.0, 3), "conclusive probability must lie in (0, 1/2], got 0.0"),
+    ((10, 0.6, 3), "conclusive probability must lie in (0, 1/2], got 0.6"),
+    ((10, 0.1, 0), "substring count must be >= 1, got 0"),
+])
+def test_closed_forms_reject_arguments_out_of_range(closed_form, args, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        closed_form(*args)
 
 
 @settings(max_examples=200, deadline=None)

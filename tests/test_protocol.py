@@ -108,26 +108,41 @@ def test_sift_batch_matches_the_scalar_sift_per_photon():
             assert not mask[count:].any() and not bits[count:].any()
 
 
-def test_only_bits_packs_and_unpacks():
-    # the packed layout is decided in one place: np.packbits and
-    # np.unpackbits appear in the package only inside protocol.Bits
-    names = {"packbits", "unpackbits"}
+def _uses(names, home, owner):
+    """Where the package names any of names: the count of uses inside the
+    top-level class or function owner of module home, and "file:line" of
+    every use elsewhere."""
     inside, outside = 0, []
     for path in sorted(Path(protocol.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        bits = set()
-        if path.name == "protocol.py":
-            (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Bits"]
-            bits = {id(n) for n in ast.walk(cls)}
+        allowed = set()
+        if path.name == home:
+            (node,) = [n for n in tree.body if getattr(n, "name", None) == owner]
+            allowed = {id(n) for n in ast.walk(node)}
         for node in ast.walk(tree):
             name = getattr(node, "attr", None) or getattr(node, "id", None)
             if isinstance(node, ast.alias):
                 name = node.name
             if name in names:
-                if id(node) in bits:
+                if id(node) in allowed:
                     inside += 1
                 else:
                     outside.append(f"{path.name}:{node.lineno}")
+    return inside, outside
+
+
+def test_only_bits_packs_and_unpacks():
+    # the packed layout is decided in one place: np.packbits and
+    # np.unpackbits appear in the package only inside protocol.Bits
+    inside, outside = _uses({"packbits", "unpackbits"}, "protocol.py", "Bits")
+    assert outside == []
+    assert inside > 0
+
+
+def test_only_the_born_helper_takes_inner_products():
+    # every Born weight of the package comes from qubits._born_weights:
+    # np.vdot, and numpy's other inner products, appear nowhere else
+    inside, outside = _uses({"vdot", "inner", "dot", "einsum"}, "qubits.py", "_born_weights")
     assert outside == []
     assert inside > 0
 

@@ -1,17 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import basis_states, overlap
+from oracles import basis_states, overlap, projector
 
 from qpqsim import planner
 from qpqsim.errors import CapacityError, DomainError
 from qpqsim.qubits import (
+    MAX_DENSITY_DIM,
     AttackLabel,
     Basis,
     CarrierLabel,
     DensityMatrix,
-    StateVector,
     attack_state,
     born_outcome0_tables,
     carrier_state,
@@ -23,25 +24,29 @@ THETA_GRID = np.linspace(0.001, math.pi / 2 - 0.001, 100)
 
 
 def state(*amps):
-    return StateVector(np.array(amps, dtype=complex))
+    return np.array(amps, dtype=complex)
+
+
+def density(label, theta):
+    return DensityMatrix(projector(carrier_state(label, theta)))
 
 
 def test_carrier_state_symmetric_case_is_plus():
     psi = carrier_state(CarrierLabel.K0P, math.pi / 4)
-    assert psi.amps == pytest.approx(np.array([1, 1]) / math.sqrt(2))
+    assert psi == pytest.approx(np.array([1, 1]) / math.sqrt(2))
 
 
 def test_carrier_state_k0_independent_of_theta():
     for theta in (0.1, 0.7, 1.5):
-        assert carrier_state(CarrierLabel.K0, theta).amps == pytest.approx([1.0, 0.0])
+        assert carrier_state(CarrierLabel.K0, theta) == pytest.approx([1.0, 0.0])
 
 
 def test_carrier_state_k1p_components():
     psi = carrier_state(CarrierLabel.K1P, 0.354)
-    assert psi.amps[0].real == pytest.approx(math.sin(0.354), abs=1e-12)
-    assert psi.amps[1].real == pytest.approx(-math.cos(0.354), abs=1e-12)
-    assert psi.amps[0].real == pytest.approx(0.3466, abs=1e-4)
-    assert psi.amps[1].real == pytest.approx(-0.9380, abs=1e-4)
+    assert psi[0].real == pytest.approx(math.sin(0.354), abs=1e-12)
+    assert psi[1].real == pytest.approx(-math.cos(0.354), abs=1e-12)
+    assert psi[0].real == pytest.approx(0.3466, abs=1e-4)
+    assert psi[1].real == pytest.approx(-0.9380, abs=1e-4)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2, -0.3, 3.0])
@@ -55,15 +60,15 @@ def test_carrier_state_rejects_theta_outside_open_interval(theta):
 def test_attack_state_values():
     # just inside the open interval: amplitudes approach (cos, sin)(pi/4)
     psi = attack_state(AttackLabel.A0PP, math.pi / 2 - 1e-12)
-    assert psi.amps == pytest.approx(
+    assert psi == pytest.approx(
         [math.cos(math.pi / 4), math.sin(math.pi / 4)], abs=1e-9
     )
     psi2 = attack_state(AttackLabel.A0PP, math.pi / 4)
-    assert psi2.amps[0].real == pytest.approx(math.cos(math.pi / 8), abs=1e-12)
-    assert psi2.amps[1].real == pytest.approx(math.sin(math.pi / 8), abs=1e-12)
+    assert psi2[0].real == pytest.approx(math.cos(math.pi / 8), abs=1e-12)
+    assert psi2[1].real == pytest.approx(math.sin(math.pi / 8), abs=1e-12)
     psi3 = attack_state(AttackLabel.A1PP, math.pi / 4)
-    assert psi3.amps[0].real == pytest.approx(math.sin(math.pi / 8), abs=1e-12)
-    assert psi3.amps[1].real == pytest.approx(-math.cos(math.pi / 8), abs=1e-12)
+    assert psi3[0].real == pytest.approx(math.sin(math.pi / 8), abs=1e-12)
+    assert psi3[1].real == pytest.approx(-math.cos(math.pi / 8), abs=1e-12)
 
 
 def test_label_coding_and_declaration_letters():
@@ -74,7 +79,7 @@ def test_label_coding_and_declaration_letters():
 def test_normalization_and_orthogonality_across_theta_grid():
     for theta in THETA_GRID:
         for label in CarrierLabel:
-            norm = np.sum(np.abs(carrier_state(label, theta).amps) ** 2)
+            norm = np.sum(np.abs(carrier_state(label, theta)) ** 2)
             assert abs(norm - 1.0) <= 1e-12
         primed0 = carrier_state(CarrierLabel.K0P, theta)
         primed1 = carrier_state(CarrierLabel.K1P, theta)
@@ -82,13 +87,6 @@ def test_normalization_and_orthogonality_across_theta_grid():
         a0 = attack_state(AttackLabel.A0PP, theta)
         a1 = attack_state(AttackLabel.A1PP, theta)
         assert abs(overlap(a0, a1)) <= 1e-12
-
-
-def test_statevector_validation():
-    with pytest.raises(DomainError):
-        state(1.0, 1.0)  # not normalized
-    with pytest.raises(DomainError):
-        StateVector(np.array([1.0, 0.0, 0.0], dtype=complex))  # dim 3
 
 
 def test_born_statistics_all_label_basis_pairs():
@@ -110,15 +108,15 @@ def test_born_statistics_all_label_basis_pairs():
 
 
 def per_state_born_table(theta):
-    """The Born table built from one validated StateVector per carrier and
-    per outcome-0 basis state, as the package built it before."""
+    """The Born table built from one amplitude row per carrier and per
+    outcome-0 basis state, one inner product at a time."""
     c, s = np.cos(theta), np.sin(theta)
     carriers = (state(1.0, 0.0), state(0.0, 1.0), state(c, s), state(s, -c))
     outcome0 = (state(1.0, 0.0), state(c, s))
     table = np.empty((4, 2))
     for label, psi in enumerate(carriers):
         for basis, b0 in enumerate(outcome0):
-            table[label, basis] = abs(np.vdot(b0.amps, psi.amps)) ** 2
+            table[label, basis] = abs(np.vdot(b0, psi)) ** 2
     return table
 
 
@@ -136,34 +134,52 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.4], [0.1, 0.5]]))  # not Hermitian
     with pytest.raises(DomainError):
         DensityMatrix(np.eye(2))  # trace 2
-    with pytest.raises(CapacityError):
-        DensityMatrix(np.eye(2 ** 13) / 2 ** 13)
+    for entries in (np.full((2, 3), 1 / 3), np.array([0.5, 0.5])):
+        with pytest.raises(DomainError, match="density matrix must be square"):
+            DensityMatrix(entries)
+    with pytest.raises(DomainError, match="density matrix has a negative eigenvalue"):
+        DensityMatrix(np.diag([1.5, -0.5]))  # Hermitian, unit trace
+
+
+def test_over_cap_density_matrix_is_rejected_before_any_copy():
+    # a zero-copy float view: a complex copy taken before the cap check
+    # would hold 16 bytes per entry, 268 MB at this dimension
+    dim = MAX_DENSITY_DIM + 1
+    entries = np.broadcast_to(1.0 / dim, (dim, dim))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"capped at dim {MAX_DENSITY_DIM}, got {dim}"):
+            DensityMatrix(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_fidelity_pure_state_overlap():
     theta = 0.284
-    rho = carrier_state(CarrierLabel.K0, theta).density()
-    sigma = carrier_state(CarrierLabel.K0P, theta).density()
+    rho = density(CarrierLabel.K0, theta)
+    sigma = density(CarrierLabel.K0P, theta)
     assert fidelity(rho, sigma) == pytest.approx(math.cos(theta), abs=1e-12)
     assert fidelity(rho, sigma) == pytest.approx(0.95995, abs=5e-5)
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
-    one = carrier_state(CarrierLabel.K1, theta).density()
+    one = density(CarrierLabel.K1, theta)
     assert fidelity(rho, one) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_trace_distance_pure_qubit_pair():
     for theta in (0.1, 0.5, 1.2):
-        rho = carrier_state(CarrierLabel.K0, theta).density()
-        sigma = carrier_state(CarrierLabel.K0P, theta).density()
+        rho = density(CarrierLabel.K0, theta)
+        sigma = density(CarrierLabel.K0P, theta)
         assert trace_distance(rho, sigma) == pytest.approx(math.sin(theta), abs=1e-12)
         assert trace_distance(rho, rho) == 0.0
-    rho = carrier_state(CarrierLabel.K0, 0.3).density()
-    one = carrier_state(CarrierLabel.K1, 0.3).density()
+    rho = density(CarrierLabel.K0, 0.3)
+    one = density(CarrierLabel.K1, 0.3)
     assert trace_distance(rho, one) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_metric_dimension_mismatch():
-    rho = carrier_state(CarrierLabel.K0, 0.3).density()
+    rho = density(CarrierLabel.K0, 0.3)
     big = DensityMatrix(np.eye(4) / 4)
     with pytest.raises(DomainError):
         fidelity(rho, big)
@@ -194,12 +210,12 @@ def test_pre_declaration_indistinguishability():
     # announcements before the declaration leak nothing
     for theta in THETA_GRID[::9]:
         unprimed = 0.5 * (
-            carrier_state(CarrierLabel.K0, theta).density().entries
-            + carrier_state(CarrierLabel.K1, theta).density().entries
+            projector(carrier_state(CarrierLabel.K0, theta))
+            + projector(carrier_state(CarrierLabel.K1, theta))
         )
         primed = 0.5 * (
-            carrier_state(CarrierLabel.K0P, theta).density().entries
-            + carrier_state(CarrierLabel.K1P, theta).density().entries
+            projector(carrier_state(CarrierLabel.K0P, theta))
+            + projector(carrier_state(CarrierLabel.K1P, theta))
         )
         eye = np.eye(2) / 2
         assert np.max(np.abs(unprimed - eye)) < 1e-12
