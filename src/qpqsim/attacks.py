@@ -31,7 +31,6 @@ from .qubits import (
     _carrier_amps,
     _check_theta,
     _outcome0_vectors,
-    carrier_state,
     fidelity,  # re-exported: perfbench/test_bench.py checks attacks.fidelity
 )
 
@@ -55,19 +54,19 @@ class ParityPair:
 
 def parity_mixtures(theta, substrings):
     """Dense pair (A^(x)k +- D^(x)k) / 2^k, A = P0 + P0', D = P0 - P0': D^(x)k
-    sums every k-fold product projector with the sign of its parity."""
+    sums every k-fold product projector with the sign of its parity. Both
+    are float64: the carriers K0 and K0' are real."""
     _check_theta(theta)
     _check_k(substrings)
-    zero, primed = carrier_state(CarrierLabel.K0, theta), carrier_state(CarrierLabel.K0P, theta)
-    p0, p1 = np.outer(zero, zero.conj()), np.outer(primed, primed.conj())
-    total = diff = np.ones((1, 1), dtype=complex)
-    for _ in range(substrings):
-        total, diff = np.kron(total, p0 + p1), np.kron(diff, p0 - p1)
-    norm = 2.0 ** substrings
-    return ParityPair(
-        rho_even=DensityMatrix((total + diff) / norm),
-        rho_odd=DensityMatrix((total - diff) / norm),
-    )
+    zero, primed = _outcome0_vectors(theta).real  # (1, 0) and (cos, sin), exactly
+    p0, p1 = np.outer(zero, zero), np.outer(primed, primed)
+    total = diff = np.ones((1, 1))
+    for _ in range(substrings):  # halving is exact, so this is A^(x)k / 2^k to the bit
+        total, diff = np.kron(total, (p0 + p1) / 2), np.kron(diff, (p0 - p1) / 2)
+    odd = total - diff
+    total += diff
+    del diff  # so at most three 2^k x 2^k arrays are alive while both are checked
+    return ParityPair(rho_even=DensityMatrix(total), rho_odd=DensityMatrix(odd))
 
 
 def helstrom_guess(theta, substrings):

@@ -337,7 +337,9 @@ class _Party:
         received = np.asarray(received, dtype=bool)
         missing = self.config.raw_length - self.retained
         count, used = int(np.count_nonzero(received)), received.size
-        if count >= missing:  # the key completes at the missing-th received photon
+        if count == missing:  # the key completes at the round's last received photon
+            used = received.size - int(np.argmax(received[::-1]))
+        elif count > missing:  # ... at its missing-th one, which only an index finds
             count, used = missing, int(np.flatnonzero(received)[missing - 1]) + 1
         start = self.retained
         self.retained += count

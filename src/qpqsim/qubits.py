@@ -2,9 +2,9 @@
 
 Carrier and attack states as complex amplitude rows, the one helper
 that computes Born weights, the outcome tables built on it, and the
-fidelity / trace-distance metrics used by the attack bounds. All
-amplitudes are complex double precision; the states handled here happen
-to be real-valued.
+fidelity / trace-distance metrics used by the attack bounds. Amplitude
+rows are complex128 though every state here is real; a DensityMatrix
+keeps float64 for real entries and complex128 for complex ones.
 """
 
 from enum import IntEnum
@@ -69,9 +69,10 @@ class DensityMatrix:
             raise CapacityError(
                 f"density operators are capped at dim {MAX_DENSITY_DIM}, got {dim}"
             )
-        entries = entries.astype(complex, copy=False)
-        if not np.allclose(entries, entries.conj().T, rtol=0.0, atol=HERMITIAN_TOL):
-            raise DomainError("density matrix is not Hermitian")
+        entries = entries.astype(complex if np.iscomplexobj(entries) else float, copy=False)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN fails the check
+            if not (abs(entries - entries.T.conj()) <= HERMITIAN_TOL).all():
+                raise DomainError("density matrix is not Hermitian")
         trace = np.trace(entries).real
         if abs(trace - 1.0) > TRACE_TOL:
             raise DomainError(f"density matrix trace must be 1, got {trace!r}")

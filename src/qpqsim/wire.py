@@ -13,6 +13,7 @@ SHIFT and CIPHERTEXT. Any out-of-order or malformed frame aborts the
 session with an ERROR frame.
 """
 
+import contextlib
 import os
 import socket
 import struct
@@ -534,4 +535,6 @@ class WireServer:
         return len(sessions)
 
     def close(self):
+        with contextlib.suppress(OSError):  # closed already: serve has returned
+            self._srv.shutdown(socket.SHUT_RDWR)  # wakes serve's accept; on Linux close does not
         self._srv.close()

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -275,6 +276,24 @@ def test_parity_mixtures_match_sum_of_product_projectors():
             tol = 2 ** k * np.finfo(float).eps
             assert np.max(np.abs(pair.rho_even.entries - sums[0] / 2 ** (k - 1))) < tol
             assert np.max(np.abs(pair.rho_odd.entries - sums[1] / 2 ** (k - 1))) < tol
+
+
+def test_parity_mixtures_are_real():
+    for k in (1, 4, 8):
+        pair = parity_mixtures(0.284, k)
+        assert pair.rho_even.entries.dtype == pair.rho_odd.entries.dtype == np.float64
+
+
+def test_parity_mixtures_trace_at_most_three_and_a_half_mib():
+    # built as complex, with the sum and the difference formed beside both
+    # Kronecker products, the k = 8 pair traced 6.5 MiB
+    tracemalloc.start()
+    try:
+        parity_mixtures(0.284, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_parity_mixtures_capacity():

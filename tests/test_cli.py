@@ -408,6 +408,15 @@ def test_attack_bob_csv_format(tmp_path, capsys):
     assert any(line.startswith("analytic,0.853") for line in out.splitlines())
 
 
+def test_attack_seed_defaults_to_zero(tmp_path, capsys):
+    args = ["attack", "--kind", "bob", "--theta", "0.785", "--trials", "20000"]
+    seeds = ([], ["--seed", "0"], ["--seed", "1"])
+    outs = [run_cli(args + extra, tmp_path, capsys) for extra in seeds]
+    assert [code for code, _, _ in outs] == [0, 0, 0]
+    assert outs[0][1] == outs[1][1]
+    assert outs[0][1] != outs[2][1]  # so the seed reaches the document
+
+
 def test_figures_f5_reference(tmp_path, capsys):
     code, out, _ = run_cli(["figures", "--which", "F5"], tmp_path, capsys)
     assert code == 0

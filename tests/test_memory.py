@@ -88,13 +88,16 @@ def test_received_frame_is_read_into_one_buffer():
 
 
 def test_lossless_round_is_retained_without_an_index_array():
-    # a round that leaves the key incomplete; an int64 index of its
-    # photons alone would take 8 bytes per photon
-    config = protocol.SessionConfig(n_items=protocol.ROUND, substrings=2, theta=0.6)
-    receiver = protocol.Receiver(config)
-    receiver.bases(protocol.ROUND)
+    # a round that leaves the key incomplete (k*N = 2 * ROUND), and one that
+    # receives exactly the missing photons (k*N = ROUND); an int64 index of
+    # its photons alone would take 8 bytes per photon
     received = np.ones(protocol.ROUND, dtype=bool)
     outcomes = np.ones(protocol.ROUND, dtype=np.uint8)
-    _, peak = _traced_peak(lambda: receiver.absorb(received, outcomes))
-    assert receiver.retained == receiver.sent == protocol.ROUND
-    assert peak < 4 * protocol.ROUND, f"traced peak {peak / protocol.ROUND:.2f} bytes per photon"
+    for n_items in (protocol.ROUND, protocol.ROUND // 2):
+        config = protocol.SessionConfig(n_items=n_items, substrings=2, theta=0.6)
+        receiver = protocol.Receiver(config)
+        receiver.bases(protocol.ROUND)
+        _, peak = _traced_peak(lambda: receiver.absorb(received, outcomes))
+        assert receiver.retained == receiver.sent == protocol.ROUND
+        per_photon = peak / protocol.ROUND
+        assert per_photon < 4, f"k*N = {config.raw_length}: {per_photon:.2f} bytes per photon"

@@ -53,6 +53,13 @@ def test_solve_theta_rejects_an_empty_database_or_no_substring(n_items, substrin
         planner.solve_theta(n_items, substrings, 1)
 
 
+@pytest.mark.parametrize("target", [0, -1, 101])
+def test_solve_theta_rejects_a_target_outside_the_database(target):
+    # a target of 0 would give theta = 0, outside the protocol's open interval
+    with pytest.raises(DomainError, match=rf"target must lie in \(0, N\], got {target}"):
+        planner.solve_theta(100, 1, target)
+
+
 @pytest.mark.parametrize("closed_form", [planner.expected_known_bits, planner.failure_probability])
 @pytest.mark.parametrize("args, message", [
     ((0, 0.1, 3), "database size must be >= 1, got 0"),

@@ -284,6 +284,22 @@ def test_session_restarts_and_failure():
     assert report0.success == (final0.known_count > 0)
 
 
+def test_restarted_session_picks_its_known_index_from_its_own_attempt():
+    # the query pick reads the query stream of the attempt that succeeded;
+    # reading attempt 0's stream in every attempt passed the golden digests.
+    # Each seed restarts at least once and ends with at least two known bits,
+    # and in five of them attempt 0's stream picks another index
+    database = random_database(40, 1)
+    for seed in (18, 19, 22, 26, 49, 55, 61, 73):
+        cfg = make_config(n_items=40, theta=0.672, source_seed=seed, channel_seed=seed + 1000,
+                          measure_seed=seed + 2000, max_restarts=5)
+        report, _, final = run_session(cfg, database, 7)
+        known = np.flatnonzero(final.alice_mask)
+        assert report.restarted >= 1 and known.size >= 2
+        pick = protocol.query_stream(cfg, report.restarted).random()
+        assert report.query.known_index == known[int(pick * known.size)], seed
+
+
 def test_transmission_frequencies_follow_the_born_table_and_loss_rate():
     # frequencies, not bytes, so any draw scheme passes: 2^23 lossless
     # photons run as the engine runs them, about 10^6 per (label, basis)

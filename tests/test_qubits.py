@@ -156,6 +156,52 @@ def test_over_cap_density_matrix_is_rejected_before_any_copy():
     assert peak < 1 << 20
 
 
+def test_density_matrix_keeps_the_dtype_of_its_input():
+    # real entries stay float64, so the metrics run real eigensolvers on
+    # them; complex entries stay complex128, whatever their values
+    assert DensityMatrix(np.eye(2) / 2).entries.dtype == np.float64
+    assert DensityMatrix(np.eye(2, dtype=np.float32) / 2).entries.dtype == np.float64
+    assert DensityMatrix(np.eye(2, dtype=complex) / 2).entries.dtype == np.complex128
+    entries = np.array([[0.5, -0.5j], [0.5j, 0.5]])
+    rho = DensityMatrix(entries)
+    assert rho.entries.dtype == np.complex128
+    assert rho.entries.tobytes() == entries.tobytes()
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        np.array([[0.5, np.nan], [np.nan, 0.5]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 0.5]]),  # inf - inf is NaN, with no warning
+        np.array([[0.5, 0.25 + 2e-12], [0.25, 0.5]]),  # real, past HERMITIAN_TOL
+        np.array([[0.5, 0.4j], [0.4j, 0.5]]),  # symmetric, not Hermitian
+    ],
+)
+def test_density_matrix_rejects_nan_and_non_hermitian_entries(entries):
+    with pytest.raises(DomainError, match="density matrix is not Hermitian"):
+        DensityMatrix(entries)
+
+
+def test_hermitian_check_passes_within_its_tolerance():
+    entries = np.array([[0.5, 0.25 + 5e-13], [0.25, 0.5]])
+    assert DensityMatrix(entries).entries is entries
+
+
+def test_real_density_matrix_traces_at_most_two_and_a_half_times_its_input():
+    # a complex copy and np.allclose's full-size temporaries traced 7 times
+    # this 8 MiB input
+    dim = 1024
+    entries = np.eye(dim) / dim
+    tracemalloc.start()
+    try:
+        DensityMatrix(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * entries.nbytes, f"traced peak {peak / entries.nbytes:.2f} x the input"
+
+
 def test_fidelity_pure_state_overlap():
     theta = 0.284
     rho = density(CarrierLabel.K0, theta)

@@ -756,6 +756,23 @@ def test_stalled_peer_frees_its_worker_within_the_timeout(monkeypatch):
     assert server.outcomes == {"timeout": 1}
 
 
+def test_close_wakes_a_server_blocked_in_accept():
+    # on Linux, closing a listening socket does not wake accept, so a serve
+    # with no session limit stayed blocked after close
+    cfg = make_config()
+    server = wire.WireServer("127.0.0.1", 0, cfg, random_database(cfg.n_items, 9))
+    thread, handled = serve_in_thread(server)
+    time.sleep(0.2)  # serve is blocked in accept
+    start = time.monotonic()
+    server.close()
+    thread.join(timeout=2)
+    assert not thread.is_alive()
+    assert time.monotonic() - start < 2
+    assert handled == [0]
+    assert server.outcomes == {}
+    server.close()  # once serve has returned, close does nothing
+
+
 def drip(conn, data, interval):
     """Send data one byte per interval until it is all sent or the peer hangs up."""
     try:
