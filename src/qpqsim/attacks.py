@@ -58,7 +58,7 @@ def parity_mixtures(theta, substrings):
     are float64: the carriers K0 and K0' are real."""
     _check_theta(theta)
     _check_k(substrings)
-    zero, primed = _outcome0_vectors(theta).real  # (1, 0) and (cos, sin), exactly
+    zero, primed = _outcome0_vectors(theta)  # (1, 0) and (cos, sin)
     p0, p1 = np.outer(zero, zero), np.outer(primed, primed)
     total = diff = np.ones((1, 1))
     for _ in range(substrings):  # halving is exact, so this is A^(x)k / 2^k to the bit

@@ -141,7 +141,7 @@ def cmd_run(args):
     database = _database_for(args)
     report, _, _ = protocol.run_session(config, database, args.item)
     doc = report.to_dict()
-    doc["database_bit"] = int(database[args.item])
+    doc["database_bit"] = database[args.item]
     _emit_doc(args, doc)
     if not report.success:
         print("session failed: no known key bits after all restarts", file=sys.stderr)

@@ -12,7 +12,8 @@ Every k*N array of a session (the sender's truth bits and letters, the
 receiver's kept bases and outcomes, her mask and decoded bits) is a Bits,
 one bit per retained photon: each round packs its retained photons into
 place, the sift works byte-wise, and the fold reads whole substrings.
-The N-bit final keys are Bits too: raw and final keys are both a Key.
+The N-bit final keys, database and ciphertext are Bits too (raw and final
+keys are both a Key), so the query phase unpacks no N bits to read one.
 
 Randomness is split across three seeded streams (photon source, channel,
 receiver measurement) plus a derived query stream, with a fixed number of
@@ -90,8 +91,8 @@ class Bits:
     """count bits and their body, packed eight to a byte in np.packbits
     order: bit i is bit 7 - i % 8 of byte i // 8. The pad bits of the last
     byte are zero in every Bits the package packs; a body taken as it is,
-    from a frame or a generator, may carry any, and unpack and == ignore
-    them. Bits(count) is all zeros."""
+    from a frame or a generator, may carry any, and unpack, indexing and ==
+    ignore them. Bits(count) is all zeros."""
 
     __slots__ = ("count", "body")
 
@@ -111,6 +112,12 @@ class Bits:
 
     def __len__(self):
         return self.count
+
+    def __getitem__(self, i):
+        """Bit i, as an int."""
+        if not 0 <= i < self.count:
+            raise IndexError(f"bit {i} out of range [0, {self.count})")
+        return int(self.body[i // 8]) >> (7 - i % 8) & 1
 
     def __eq__(self, other):
         return isinstance(other, Bits) and np.array_equal(self.unpack(), other.unpack())
@@ -212,23 +219,17 @@ class QueryExchange:
     target_index: int
     known_index: int
     shift: int
-    ciphertext: np.ndarray
+    ciphertext: Bits
     retrieved_bit: int
 
-    def to_dict(self):
-        return {
-            "target_index": self.target_index,
-            "known_index": self.known_index,
-            "shift": self.shift,
-            "ciphertext": bits_to_hex(self.ciphertext),
-            "retrieved_bit": self.retrieved_bit,
-        }
-
-    def to_public_dict(self):
-        return {
-            "shift": self.shift,
-            "ciphertext": bits_to_hex(self.ciphertext),
-        }
+    def to_dict(self, public_only=False):
+        """Every field, the ciphertext as the hex of its body; with
+        public_only the shift and the ciphertext only."""
+        doc = {"shift": self.shift, "ciphertext": self.ciphertext.body.tobytes().hex()}
+        if not public_only:
+            doc.update(target_index=self.target_index, known_index=self.known_index,
+                       retrieved_bit=self.retrieved_bit)
+        return doc
 
 
 @dataclass
@@ -256,16 +257,12 @@ class SessionReport:
             "conclusive_count": self.conclusive_count,
             "known_final_count": self.known_final_count,
             "restarted": self.restarted,
-            "query": None,
+            "query": None if self.query is None else self.query.to_dict(public_only),
             "success": self.success,
         }
         if public_only:
             del doc["known_final_count"]
             doc["config"] = {key: doc["config"][key] for key in PUBLIC_CONFIG}
-        if self.query is not None:
-            doc["query"] = (
-                self.query.to_public_dict() if public_only else self.query.to_dict()
-            )
         return doc
 
     def to_json(self, public_only=False):
@@ -404,10 +401,13 @@ class Sender(_Party):
         return letters
 
     def answer(self, database, shift):
-        """Ciphertext for an announced shift s: item m is padded with key
-        bit m + s."""
-        s, bits = shift % self.config.n_items, self.final_bits
-        ciphertext = database ^ np.concatenate((bits[s:], bits[:s]))
+        """Ciphertext Bits for an announced shift s: item m of the database
+        Bits is padded with key bit m + s, the final key rotated by s bits."""
+        n, s = self.config.n_items, shift % self.config.n_items
+        ciphertext = Bits(n)
+        ciphertext.put(0, self.final.unpack(s))
+        ciphertext.put(n - s, self.final.unpack(0, s))
+        ciphertext.body ^= database.body
         self.exchange = QueryExchange(
             target_index=-1, known_index=-1, shift=s, ciphertext=ciphertext, retrieved_bit=-1
         )
@@ -472,10 +472,10 @@ class Receiver(_Party):
         return shift
 
     def retrieve(self, ciphertext):
-        """Decrypt the queried item from the sender's ciphertext with
-        known key bit j."""
+        """Decrypt the queried item, bit target_index of the sender's
+        ciphertext Bits, with known key bit j."""
         target, j, shift = self._pending
-        self.retrieved_bit = int(ciphertext[target] ^ self.final.alice_bits[j])
+        self.retrieved_bit = ciphertext[target] ^ self.final.alice[j]
         self.exchange = QueryExchange(target, j, shift, ciphertext, self.retrieved_bit)
         return self.retrieved_bit
 
@@ -525,11 +525,14 @@ def run_key_distribution(config):
 
 
 def check_database(config, database):
-    """The database as uint8 bits, which must number N; every mode checks
-    it before the first photon or frame."""
-    database = np.asarray(database, dtype=np.uint8)
-    if database.size != config.n_items:
-        raise DomainError(f"database has {database.size} bits, key has {config.n_items}")
+    """The database as Bits: Bits, or values each 0 or 1, which must
+    number N. Every mode checks it before the first photon or frame."""
+    if not isinstance(database, Bits):
+        if not np.isin(database, (0, 1)).all():
+            raise DomainError("database values must be 0 or 1")
+        database = Bits.of(database)
+    if len(database) != config.n_items:
+        raise DomainError(f"database has {len(database)} bits, key has {config.n_items}")
     return database
 
 
@@ -557,13 +560,9 @@ def run_session(config, database, target_index):
 # --- database files ----------------------------------------------------------
 
 
-def bits_to_hex(bits):
-    return Bits.of(bits).body.tobytes().hex()
-
-
 def load_database(path, n_bits):
     """Read an N-bit database from a plain hex text file or a raw binary
-    file (most significant bit first), as uint8 bits."""
+    file (most significant bit first), as Bits whose pad bits are zero."""
     with open(path, "rb") as fh:
         blob = fh.read()
     text = blob.decode("ascii", "replace").strip()
@@ -574,11 +573,11 @@ def load_database(path, n_bits):
             raise DomainError("malformed hex database payload") from None
     if 8 * len(blob) < n_bits:
         raise DomainError(f"file {path} holds {8 * len(blob)} bits, need {n_bits}")
-    body = np.frombuffer(blob, dtype=np.uint8, count=Bits.body_size(n_bits))
-    return Bits(n_bits, body).unpack().view(np.uint8)
+    body = np.frombuffer(blob, dtype=np.uint8, count=Bits.body_size(n_bits)).copy()
+    body[-1] &= 0xFF << (-n_bits % 8) & 0xFF
+    return Bits(n_bits, body)
 
 
 def random_database(n_bits, seed):
-    """Deterministic throwaway database derived from a seed."""
-    rng = stream(seed, tag=2)
-    return (rng.random(n_bits) >= 0.5).astype(np.uint8)
+    """Deterministic throwaway database Bits derived from a seed."""
+    return Bits.of(stream(seed, tag=2).random(n_bits) >= 0.5)

@@ -1,10 +1,10 @@
 """Exact finite-dimensional quantum state kernel.
 
-Carrier and attack states as complex amplitude rows, the one helper
-that computes Born weights, the outcome tables built on it, and the
-fidelity / trace-distance metrics used by the attack bounds. Amplitude
-rows are complex128 though every state here is real; a DensityMatrix
-keeps float64 for real entries and complex128 for complex ones.
+Carrier and attack states as real (float64) amplitude rows, the one
+helper that computes Born weights, the outcome tables built on it, and
+the fidelity / trace-distance metrics used by the attack bounds. A
+DensityMatrix keeps float64 for real entries and complex128 for complex
+ones.
 """
 
 from enum import IntEnum
@@ -88,13 +88,13 @@ class DensityMatrix:
 def _carrier_amps(theta):
     """Rows K0, K1, K0', K1': the four carrier amplitude vectors."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([(1.0, 0.0), (0.0, 1.0), (c, s), (s, -c)], dtype=complex)
+    return np.array([(1.0, 0.0), (0.0, 1.0), (c, s), (s, -c)])
 
 
 def _attack_amps(theta):
     """Rows A0'', A1'': the two half-angle attack amplitude vectors."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([(c, s), (s, -c)], dtype=complex)
+    return np.array([(c, s), (s, -c)])
 
 
 def carrier_state(label, theta):

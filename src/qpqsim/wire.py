@@ -419,7 +419,7 @@ def run_alice_endpoint(config, target_index, conn, audit=None):
     ciphertext = fs.expect(Ciphertext).bits
     if len(ciphertext) != config.n_items:
         fs.fail(ERR_BAD_PARAMS, "ciphertext length does not match database size")
-    alice.retrieve(ciphertext.unpack().view(np.uint8))
+    alice.retrieve(ciphertext)
     return alice
 
 

@@ -207,7 +207,7 @@ BIT_GENERATORS = [np.random.PCG64, np.random.MT19937]
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 31, 33, 64, 1001])
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 31, 33, 61, 64, 1001])
 def test_coins_read_ceil_count_over_8_bytes_in_unpackbits_order(bit_generator, count):
     rng = np.random.Generator(bit_generator(5))
     twin = np.random.Generator(bit_generator(5))
@@ -225,6 +225,10 @@ def test_coins_read_ceil_count_over_8_bytes_in_unpackbits_order(bit_generator, c
                 got = coins.unpack(start, stop)
                 assert got.dtype == np.bool_
                 assert got.tolist() == want[start:stop]
+    # and indexing reads the same bit at every position, and none past count
+    assert [coins[i] for i in range(count)] == coins.unpack().tolist() == want
+    with pytest.raises(IndexError):
+        coins[count]
 
 
 def test_attacks_land_on_their_rates_with_mt19937():

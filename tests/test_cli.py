@@ -356,6 +356,25 @@ def test_run_retrieves_database_bit(tmp_path, capsys):
     assert doc["query"]["retrieved_bit"] == doc["database_bit"]
 
 
+def test_run_ignores_the_pad_bits_of_a_binary_database_file(tmp_path, capsys):
+    # 37 bits fill five bytes; the three pad bits of the last byte are set in
+    # one file and clear in the other, and both give the cleared ciphertext
+    body = protocol.random_database(37, 8).body.tobytes()
+    docs = []
+    for name, last in (("clear.bin", body[-1]), ("set.bin", body[-1] | 0x07)):
+        path = tmp_path / name
+        path.write_bytes(body[:-1] + bytes([last]))
+        out = tmp_path / name.replace(".bin", "")
+        args = ["run", "--N", "37", "--k", "2", "--theta", "0.9", "--seed", "5",
+                "--item", "3", "--database", str(path), "--out", str(out)]
+        code, _, _ = run_cli(args, tmp_path, capsys)
+        assert code == 0
+        (report,) = out.iterdir()
+        docs.append(report.read_bytes())
+    assert docs[0] == docs[1]
+    assert int(json.loads(docs[0])["query"]["ciphertext"][-2:], 16) & 0x07 == 0
+
+
 def test_run_is_byte_identical_across_invocations(tmp_path, capsys):
     args = [
         "run", "--N", "100", "--k", "1", "--theta", "0.6",
@@ -491,7 +510,7 @@ def test_serve_and_query_subprocess_round_trip(tmp_path):
     env = dict(os.environ, PYTHONUNBUFFERED="1")
     db_path = tmp_path / "db.hex"
     database = protocol.random_database(64, 123)
-    db_path.write_text(protocol.bits_to_hex(database))
+    db_path.write_text(database.body.tobytes().hex())
     with subprocess.Popen(
         [
             sys.executable, "-m", "qpqsim.cli", "serve",

@@ -441,18 +441,18 @@ def query_parties(monkeypatch, bits, alice_mask, alice_bits, *uniforms):
 def test_oblivious_query_hand_example(monkeypatch):
     bits = [1, 0, 1, 1, 0]
     sender, receiver = query_parties(monkeypatch, bits, [True] * 5, bits, 0.9)
-    database = np.array([0, 1, 0, 1, 0], dtype=np.uint8)
+    database = Bits.of([0, 1, 0, 1, 0])
     shift = receiver.query(2)  # picks j=4
     ciphertext = sender.answer(database, shift)
     assert receiver.retrieve(ciphertext) == 0 == database[2]
     assert receiver.exchange.known_index == 4
     assert shift == receiver.exchange.shift == sender.exchange.shift == 2
-    assert ciphertext.tolist() == [1, 0, 0, 0, 0]
+    assert ciphertext.unpack().tolist() == [1, 0, 0, 0, 0]
 
 
 def test_oblivious_query_zero_shift(monkeypatch):
     sender, receiver = query_parties(monkeypatch, [1, 0, 1], [False, True, False], [0, 0, 0], 0.0)
-    database = np.array([1, 1, 0], dtype=np.uint8)
+    database = Bits.of([1, 1, 0])
     shift = receiver.query(1)
     assert shift == 0
     assert receiver.retrieve(sender.answer(database, shift)) == database[1]
@@ -549,13 +549,17 @@ def test_report_json_is_canonical_and_stable():
 def test_database_file_round_trip(tmp_path):
     bits = random_database(37, 99)
     hex_path = tmp_path / "db.hex"
-    hex_path.write_text(protocol.bits_to_hex(bits))
-    assert np.array_equal(load_database(hex_path, 37), bits)
+    hex_path.write_text(bits.body.tobytes().hex())
+    assert load_database(hex_path, 37) == bits
     bin_path = tmp_path / "db.bin"
-    bin_path.write_bytes(np.packbits(bits).tobytes())
-    assert np.array_equal(load_database(bin_path, 37), bits)
+    bin_path.write_bytes(bits.body.tobytes())
+    assert load_database(bin_path, 37) == bits
     with pytest.raises(DomainError):
         load_database(bin_path, 512)
+    # the three pad bits of the last byte are set in the file, and cleared
+    bin_path.write_bytes(bits.body.tobytes()[:-1] + bytes([bits.body[-1] | 0x07]))
+    loaded = load_database(bin_path, 37)
+    assert loaded == bits and loaded.body.tobytes() == bits.body.tobytes()
 
 
 def test_database_file_of_exactly_n_bits(tmp_path):
@@ -566,9 +570,9 @@ def test_database_file_of_exactly_n_bits(tmp_path):
     bin_path = tmp_path / "db.bin"
     bin_path.write_bytes(blob)
     hex_path = tmp_path / "db.hex"
-    hex_path.write_text(protocol.bits_to_hex(bits))
+    hex_path.write_text(blob.hex())
     for path in (bin_path, hex_path):
-        assert np.array_equal(load_database(path, 64), bits)
+        assert load_database(path, 64).unpack().tolist() == bits.tolist()
         with pytest.raises(DomainError):
             load_database(path, 65)
 

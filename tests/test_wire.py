@@ -267,6 +267,58 @@ def test_frames_read_in_short_reads_stay_aligned(chunk):
     assert conn.sent == []  # no ERROR frame went back
 
 
+def test_decode_frame_rejects_a_length_over_the_cap():
+    # before the body is compared with the length: this frame ends at its tag
+    header = (wire.MAX_FRAME_LENGTH + 1).to_bytes(4, "big") + bytes([MsgType.SHIFT])
+    with pytest.raises(CapacityError, match="exceeds the"):
+        decode_frame(header)
+
+
+def test_spent_budget_aborts_a_send_and_a_read_before_they_start():
+    # a zero-second budget is spent as the stream starts
+    left, right = socket.socketpair()
+    with left, right:
+        left.settimeout(0.0)
+        fs = wire.FrameStream(left)
+        for call in (lambda: fs.send(Shift(shift=1)), fs.recv):
+            with pytest.raises(ProtocolAbort, match="exceeded its 0.0 s budget") as exc:
+                call()
+            assert exc.value.code == wire.ERR_TIMEOUT
+        right.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            right.recv(1)  # nothing went out
+
+
+@pytest.mark.parametrize("left_behind", [b"", encode_frame(Shift(shift=4))],
+                         ids=["nothing", "a-shift-frame"])
+def test_send_to_a_peer_that_left_no_error_frame_reports_the_disconnect(left_behind):
+    left, right = socket.socketpair()
+    with left:
+        with right:
+            right.sendall(left_behind)
+        with pytest.raises(ProtocolAbort, match="peer disconnected: ") as exc:
+            wire.FrameStream(left).send(Shift(shift=1))
+    assert exc.value.code is None
+
+
+class ResetConn(ChunkedConn):
+    """A ChunkedConn whose peer resets the connection once its bytes run out."""
+
+    def recv_into(self, buffer):
+        if not self.data:
+            raise ConnectionResetError("connection reset by peer")
+        return super().recv_into(buffer)
+
+
+def test_connection_reset_mid_frame_aborts():
+    # two bytes of the SHIFT frame's body arrive, then the reset
+    conn = ResetConn(encode_frame(Shift(shift=3))[:-2], 4)
+    with pytest.raises(ProtocolAbort, match="connection lost mid-frame") as exc:
+        wire.FrameStream(conn).recv()
+    assert exc.value.code is None
+    assert conn.sent == []
+
+
 def _alice_against(cfg, target_index, bob):
     """Alice's ProtocolAbort and the frame she answers with, where the
     scripted bob(fs, sender) plays the database holder after HELLO."""
@@ -593,18 +645,26 @@ def test_server_rejects_fewer_than_one_session_before_it_listens(monkeypatch, se
         wire.WireServer("127.0.0.1", 0, make_config(), random_database(64, 9), sessions=sessions)
 
 
+BAD_VALUE = "database values must be 0 or 1"
+
+
 @pytest.mark.parametrize(
-    "bits, target, message",
+    "database, target, message",
     [
-        (10, 3, "database has 10 bits, key has 64"),
-        (64, 64, r"target index 64 out of range \[0, 64\)"),
+        ([0] * 10, 3, "database has 10 bits, key has 64"),
+        ([0] * 64, 64, r"target index 64 out of range \[0, 64\)"),
+        # a 2 retrieved 2 in process and 1 over the wire, -1 and 256 raised
+        # OverflowError, and 0.5 was taken as 0
+        ([0, 0, 0, 2] + [0] * 60, 3, BAD_VALUE),
+        ([0, 0, 0, -1] + [0] * 60, 3, BAD_VALUE),
+        ([0, 0, 0, 256] + [0] * 60, 3, BAD_VALUE),
+        ([0, 0, 0, 0.5] + [0] * 60, 3, BAD_VALUE),
     ],
-    ids=["database-size", "target-index"],
+    ids=["database-size", "target-index", "value-2", "value-minus-1", "value-256", "value-half"],
 )
-def test_local_session_checks_its_inputs_before_the_first_frame(bits, target, message):
+def test_local_session_checks_its_inputs_before_the_first_frame(database, target, message):
     # run_session's DomainError, before either endpoint sends or reads a frame
     cfg = make_config()
-    database = np.zeros(bits, dtype=np.uint8)
     with pytest.raises(DomainError, match=message):
         run_session(cfg, database, target)
     frames = []
