@@ -14,7 +14,7 @@ import numpy as np
 # Per photon i the caller supplies
 #   u_label[i]   -> carrier label floor(u * 4)
 #   bases[i]     -> receiver basis (chosen by the receiver, not drawn here)
-#   u_chan[i, 0] -> photon lost when u < loss_rate
+#   u_chan[i, 0] -> photon lost when u < loss_rate; not read at loss 0
 #   u_chan[i, 1] -> unused: the channel keeps three draws per photon, since
 #                   with two every key would change
 #   u_chan[i, 2] -> outcome 1 when u >= P(outcome 0 | label, basis)
@@ -23,7 +23,7 @@ import numpy as np
 
 def _simulate_transmission_np(u_label, bases, u_chan, p0, loss_rate):
     labels = (u_label * 4.0).astype(np.uint8)
-    received = u_chan[:, 0] >= loss_rate
+    received = u_chan[:, 0] >= loss_rate if loss_rate else np.ones(labels.size, dtype=bool)
     prob0 = p0.take(2 * labels + bases)
     outcomes = (u_chan[:, 2] >= prob0).view(np.uint8)
     return labels, received, outcomes

@@ -122,6 +122,19 @@ class Bits:
     def __eq__(self, other):
         return isinstance(other, Bits) and np.array_equal(self.unpack(), other.unpack())
 
+    def __array__(self, dtype=None, copy=None):
+        """The bits unpacked, as uint8; numpy casts them to a dtype asked for."""
+        if copy is False:
+            raise ValueError("Bits unpack into a new array")
+        return self.unpack().view(np.uint8)
+
+    def flatnonzero(self):
+        """The set bits' positions, ascending; unpacks only nonzero bytes."""
+        nonzero = np.flatnonzero(self.body)
+        hits = np.flatnonzero(np.unpackbits(self.body[nonzero]))
+        positions = 8 * nonzero[hits >> 3] + (hits & 7)
+        return positions[positions < self.count]
+
     def unpack(self, start=0, stop=None):
         """Bits start to stop (exclusive, default count), as a bool array."""
         stop = self.count if stop is None else stop
@@ -326,10 +339,10 @@ class _Party:
             )
         return count
 
-    def _retain(self, received):
+    def _retain(self, received, *rounds):
         """The offset in the k*N arrays where this round's retained photons
-        go, and the round's loss flags up to its last retained photon, as
-        bool: the photons to keep are the flagged ones. The counters stop
+        go, and each round array cut to them: its photons up to the last
+        retained one, selected through the loss flags. The counters stop
         at that photon, so no round size moves them."""
         received = np.asarray(received, dtype=bool)
         missing = self.config.raw_length - self.retained
@@ -342,7 +355,8 @@ class _Party:
         self.retained += count
         self.sent += used
         self.received += count
-        return start, received[:used]
+        keep = received[:used] if count < used else slice(None)  # lossless: a view
+        return start, *(arr[:used][keep] for arr in rounds)
 
     def _report(self, **fields):
         return SessionReport(
@@ -386,8 +400,7 @@ class Sender(_Party):
         labels, received, outcomes = simulate_batch(
             self._source, self._channel, bases, self.config, self._p0
         )
-        start, keep = self._retain(received)
-        kept = labels[:keep.size][keep]
+        start, kept = self._retain(received, labels)
         self.truth.put(start, kept >> 1)
         self._letters.put(start, kept & 1)
         return received, outcomes
@@ -445,9 +458,9 @@ class Receiver(_Party):
 
     def absorb(self, received, outcomes):
         """Loss flags and outcomes of the round measured in bases()."""
-        start, keep = self._retain(received)
-        self._kept_bases.put(start, self._bases[:keep.size][keep])
-        self._kept_outcomes.put(start, outcomes[:keep.size][keep])
+        start, bases, outcomes = self._retain(received, self._bases, outcomes)
+        self._kept_bases.put(start, bases)
+        self._kept_outcomes.put(start, outcomes)
 
     def sift(self, letters):
         """Sift against the Bits of the declared letters, whose pad bits
@@ -463,7 +476,7 @@ class Receiver(_Party):
     def query(self, target_index):
         """Pick a known final-key position j uniformly; returns the shift
         s = (j - i) mod N that aligns it with item i = target_index."""
-        known = np.flatnonzero(self.final.alice_mask)
+        known = self.final.mask.flatnonzero()
         if known.size == 0:
             raise EmptyKeyMaskError("receiver knows no final-key bit; restart the session")
         j = int(known[int(query_stream(self.config, self.attempt).random() * known.size)])

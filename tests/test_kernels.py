@@ -75,39 +75,47 @@ def assert_attack_sift_matches_oracle(attack, basis, outcomes, want):
 
 
 def test_transmission_matches_reference_loop(inputs):
+    # lossy and lossless, with one loss uniform on the loss rate: at loss 0
+    # the kernel reads no loss uniform, and u = 0.0 is received
     p0 = born_outcome0_tables(0.47)
-    args = (inputs["u_label"], inputs["bases"], inputs["u_chan"], p0, 0.35)
-    labels, received, outcomes = _kernels.simulate_transmission(*args)
-    ref_labels, ref_received, ref_outcomes = transmission_loop(*args)
-    assert_same(labels, ref_labels, np.uint8)
-    assert_same(received, ref_received, np.bool_)
-    assert_same(outcomes, ref_outcomes, np.uint8)
-    # the inputs exercise every branch
-    assert 0 < np.count_nonzero(received) < N
+    for loss_rate in (0.35, 0.0):
+        u_chan = inputs["u_chan"].copy()
+        u_chan[0, 0] = loss_rate
+        args = (inputs["u_label"], inputs["bases"], u_chan, p0, loss_rate)
+        labels, received, outcomes = _kernels.simulate_transmission(*args)
+        ref_labels, ref_received, ref_outcomes = transmission_loop(*args)
+        assert_same(labels, ref_labels, np.uint8)
+        assert_same(received, ref_received, np.bool_)
+        assert_same(outcomes, ref_outcomes, np.uint8)
+        # the inputs exercise every branch
+        assert 0 < np.count_nonzero(received) < N if loss_rate else received.all()
 
 
 def test_transmission_boundaries_match_reference_loop():
     # per label and basis, the outcome uniform on, just below and just
     # above its Born entry (0 and 1 among them), and the loss uniform on,
-    # just below and just above the loss rate: >= and > differ only there
+    # just below and just above the loss rate: >= and > differ only there.
+    # At loss 0, u = 0.0 lies on the boundary and no uniform below it
     p0 = born_outcome0_tables(0.47)
-    loss_rate = 0.35
-    rows = []
-    for label, basis in product(range(4), range(2)):
-        prob = p0[label, basis]
-        for u_out in (prob, np.nextafter(prob, 0.0), np.nextafter(prob, 1.0)):
-            for u_loss in (loss_rate, np.nextafter(loss_rate, 0.0), np.nextafter(loss_rate, 1.0)):
-                rows.append((label / 4 + 0.1, basis, u_loss, 0.5, u_out))
-    u_label, bases, *chan = (np.array(column) for column in zip(*rows))
-    args = (u_label, bases.astype(np.uint8), np.column_stack(chan), p0, loss_rate)
-    labels, received, outcomes = _kernels.simulate_transmission(*args)
-    ref_labels, ref_received, ref_outcomes = transmission_loop(*args)
-    assert_same(labels, ref_labels, np.uint8)
-    assert_same(received, ref_received, np.bool_)
-    assert_same(outcomes, ref_outcomes, np.uint8)
-    # the table holds entries of exactly 0 and 1, and each is hit
-    on_entry = args[2][:, 2] == p0[labels, bases]
-    assert {0.0, 1.0} <= set(args[2][on_entry, 2].tolist())
+    for loss_rate in (0.35, 0.0):
+        rows = []
+        loss_edges = (loss_rate, np.nextafter(loss_rate, 0.0), np.nextafter(loss_rate, 1.0))
+        for label, basis in product(range(4), range(2)):
+            prob = p0[label, basis]
+            for u_out in (prob, np.nextafter(prob, 0.0), np.nextafter(prob, 1.0)):
+                for u_loss in loss_edges:
+                    rows.append((label / 4 + 0.1, basis, u_loss, 0.5, u_out))
+        u_label, bases, *chan = (np.array(column) for column in zip(*rows))
+        args = (u_label, bases.astype(np.uint8), np.column_stack(chan), p0, loss_rate)
+        labels, received, outcomes = _kernels.simulate_transmission(*args)
+        ref_labels, ref_received, ref_outcomes = transmission_loop(*args)
+        assert_same(labels, ref_labels, np.uint8)
+        assert_same(received, ref_received, np.bool_)
+        assert_same(outcomes, ref_outcomes, np.uint8)
+        # the table holds entries of exactly 0 and 1, and each is hit
+        on_entry = args[2][:, 2] == p0[labels, bases]
+        assert {0.0, 1.0} <= set(args[2][on_entry, 2].tolist())
+        assert loss_rate or 0.0 in args[2][:, 0]
 
 
 def test_usd_trials_match_reference_loop(inputs):

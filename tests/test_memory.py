@@ -12,10 +12,11 @@ same session traced 7.2 MB over the wire; it must now trace at most
 
 A received frame is held once too, in the one buffer it is read into,
 and a round's retained photons are picked through its loss flags, with
-no index array.
+no index array; a round that lost none keeps a view of its arrays.
 
 The database and the ciphertext are packed too: the query phase leaves
-the N/8-byte ciphertext behind, where a byte per item held 0.95 MiB.
+the N/8-byte ciphertext behind, where a byte per item held 0.95 MiB, and
+the receiver picks her known position without unpacking her N-bit mask.
 """
 
 import socket
@@ -84,6 +85,19 @@ def test_query_phase_holds_only_the_packed_ciphertext():
         tracemalloc.stop()
     assert retrieved == database[123457]
     assert held <= 1 << 18, f"held {held / 2 ** 20:.2f} MiB"
+
+
+def test_query_picks_its_known_position_from_the_packed_mask():
+    # unpacking the N-bit final-key mask to list its known positions
+    # traced 0.96 MiB at this row; the pick unpacks its nonzero bytes only
+    theta = planner.plan_min_k(N_ITEMS, 3.0, 0.2).theta
+    config = protocol.SessionConfig(n_items=N_ITEMS, substrings=4, theta=theta)
+    _, receiver, _, final = protocol._distribute(config)
+    known = np.flatnonzero(final.alice_mask)
+    shift, peak = _traced_peak(lambda: receiver.query(123457))
+    pick = protocol.query_stream(config, receiver.attempt).random()
+    assert (123457 + shift) % N_ITEMS == known[int(pick * known.size)]
+    assert peak <= 64 << 10, f"traced peak {peak / 1024:.1f} KiB"
 
 
 def test_received_frame_is_read_into_one_buffer():

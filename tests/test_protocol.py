@@ -139,6 +139,40 @@ def test_only_bits_packs_and_unpacks():
     assert inside > 0
 
 
+@pytest.mark.parametrize("count", [1, 7, 8, 61])
+def test_asarray_unpacks_bits_without_indexing(monkeypatch, count):
+    # np.asarray walked a Bits through __getitem__, one call per bit, into
+    # int64; the pad bits, set here, are not read
+    values = np.random.default_rng(count).integers(0, 2, count, dtype=np.uint8)
+    values[0] = 1
+    bits = Bits.of(values)
+    bits.body[-1] |= (1 << (-count % 8)) - 1
+
+    def walk(*args):
+        raise AssertionError("np.asarray indexed the Bits")
+
+    monkeypatch.setattr(Bits, "__getitem__", walk)
+    got = np.asarray(bits)
+    assert got.dtype == np.uint8 and got.tolist() == values.tolist()
+    as_float = np.asarray(bits, dtype=np.float64)
+    assert as_float.dtype == np.float64 and as_float.tolist() == values.tolist()
+    assert np.resize(bits, count + 1).tolist() == [*values.tolist(), 1]
+    with pytest.raises(ValueError):
+        np.array(bits, copy=False)
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 61, 1000])
+def test_flatnonzero_lists_the_set_bits_in_order(count):
+    # dense and sparse bits; the pad bits, set here, are no positions
+    rng = np.random.default_rng(count)
+    for density in (0.0, 0.001, 0.5, 1.0):
+        values = rng.random(count) < density
+        bits = Bits.of(values)
+        bits.body[-1] |= (1 << (-count % 8)) - 1
+        got = bits.flatnonzero()
+        assert got.dtype == np.intp and got.tolist() == np.flatnonzero(values).tolist()
+
+
 def test_only_the_born_helper_takes_inner_products():
     # every Born weight of the package comes from qubits._born_weights:
     # np.vdot, and numpy's other inner products, appear nowhere else
@@ -355,9 +389,31 @@ def test_keys_and_report_do_not_depend_on_round_size(monkeypatch):
         assert report.to_dict() == first_report.to_dict()
 
 
+def test_lossless_keys_and_report_do_not_depend_on_round_size(monkeypatch):
+    # at loss 0 every round is retained as a view, cut only where the key
+    # completes; the keys and the report still ignore the round size
+    database = random_database(50, 8)
+    runs = []
+    for size in (1, 64, 4096, 10 ** 5):
+        monkeypatch.setattr(protocol, "ROUND", size)
+        runs.append(run_session(make_config(theta=0.3), database, 17))
+    first_report, first_raw, first_final = runs[0]
+    assert first_report.success
+    assert first_report.restarted == 3  # these seeds compare restarts too
+    assert first_report.photons_sent == first_report.photons_received == 100
+    for report, raw, final in runs[1:]:
+        assert np.array_equal(raw.bits, first_raw.bits)
+        assert np.array_equal(raw.alice_mask, first_raw.alice_mask)
+        assert np.array_equal(raw.alice_bits, first_raw.alice_bits)
+        assert np.array_equal(final.bits, first_final.bits)
+        assert np.array_equal(final.alice_mask, first_final.alice_mask)
+        assert report.to_dict() == first_report.to_dict()
+
+
 def check_retention(flags, missing, prefix, flag_dtype=bool):
     """One round of the given loss flags, into parties that have retained
-    prefix photons and miss missing more, against retain_indices."""
+    prefix photons and miss missing more, against retain_indices. The
+    retained photons of a stretch that lost none come back as a view."""
     received = np.array(flags, dtype=bool)
     size = received.size
     rng = np.random.default_rng([size, missing, prefix])
@@ -369,9 +425,14 @@ def check_retention(flags, missing, prefix, flag_dtype=bool):
     sender, receiver = protocol.Sender(config), protocol.Receiver(config)
     for each in (party, sender, receiver):
         each.retained, each.sent, each.received = prefix, 100, 90
-    start, keep = party._retain(received)
+    start, kept_labels, kept_outcomes = party._retain(received.astype(flag_dtype), labels, outcomes)
     assert start == prefix
-    assert np.flatnonzero(keep).tolist() == idx.tolist()
+    assert kept_labels.tolist() == labels[idx].tolist()
+    assert kept_outcomes.tolist() == outcomes[idx].tolist()
+    # a lossless stretch makes no boolean-index copy; a lossy one must
+    lossless = bool(received[:used].all())
+    assert np.shares_memory(kept_labels, labels) == lossless
+    assert np.shares_memory(kept_outcomes, outcomes) == lossless
     bases = receiver.bases(size)
     with mock.patch.object(protocol, "simulate_batch", lambda *args: (labels, received, outcomes)):
         sender.transmit(bases)
@@ -390,13 +451,19 @@ def check_retention(flags, missing, prefix, flag_dtype=bool):
 
 
 @given(
-    flags=st.lists(st.booleans(), min_size=1, max_size=150),
+    flags=st.one_of(
+        st.lists(st.booleans(), min_size=1, max_size=150),
+        st.integers(1, 150).map(lambda size: [True] * size),  # lossless rounds
+    ),
     missing=st.integers(1, 160),
     prefix=st.integers(0, 20),
 )
 @example(flags=[False] * 9, missing=3, prefix=5)  # all photons lost
 @example(flags=[True] * 9, missing=30, prefix=0)  # all received, key incomplete
 @example(flags=[True] * 9, missing=9, prefix=3)  # all received, key completes
+@example(flags=[True] * 16, missing=8, prefix=8)  # ... at a byte edge, mid-round
+@example(flags=[True] * 16, missing=5, prefix=3)  # ... mid-byte, mid-round
+@example(flags=[True, True, False, True], missing=2, prefix=0)  # lossless up to the cut
 @example(flags=[False, False, True, True], missing=1, prefix=7)  # missing = 1
 @example(flags=[True, False, True], missing=1, prefix=0)  # cut at the first photon
 @example(flags=[False, True, False, True], missing=2, prefix=1)  # cut at the last photon
