@@ -38,6 +38,9 @@ from .qubits import _check_theta, born_outcome0_tables
 
 PHOTON_CAP = 10 ** 9  # safety cap per session attempt
 ROUND = 65536  # most photons per transmission round, in-process and on the wire
+# photons drawn and resolved at once: a chunk's float64 temporaries are 128 KiB,
+# glibc's default mmap threshold (mallopt(3)), so no round maps fresh pages for them
+CHUNK = 16384
 PUBLIC_CONFIG = ("n_items", "substrings", "theta", "loss_rate")  # what HELLO carries
 
 
@@ -141,6 +144,21 @@ class Bits:
         first = start // 8
         bits = np.unpackbits(self.body[first:Bits.body_size(stop)])
         return bits[start - 8 * first:stop - 8 * first].view(np.bool_)
+
+    def rotated(self, shift):
+        """Bits shift, ..., count - 1, 0, ..., shift - 1, for 0 <= shift <
+        count and zero pad bits: the body moved shift bits toward bit 0, ORed
+        with it moved count - shift bits away."""
+        out = np.zeros_like(self.body)
+        for q, r in (divmod(shift, 8), divmod(shift - self.count, 8)):
+            # out byte i takes byte i + q << r and byte i + q + 1 >> 8 - r
+            for offset, left in ((q, r), (q + 1, r - 8)):
+                lo, hi = max(0, -offset), min(out.size, out.size - offset)
+                if lo < hi and left > -8:  # bytes past either end read as 0
+                    moved = self.body[lo + offset:hi + offset]
+                    out[lo:hi] |= moved << left if left >= 0 else moved >> -left
+        out[-1] &= 0xFF << (-self.count % 8) & 0xFF
+        return Bits(self.count, out)
 
     def put(self, start, bits):
         """Write 0/1 bits to bits [start, start + len(bits)), which must be
@@ -282,20 +300,34 @@ class SessionReport:
         return json.dumps(self.to_dict(public_only=public_only), sort_keys=True)
 
 
-def simulate_batch(source_rng, channel_rng, bases, config, p0):
+def _draws(rng, count, buffer=None):
+    """(start, draws): rng's next count float64 draws, a buffer at a time."""
+    buffer = np.empty(min(CHUNK, count)) if buffer is None else buffer
+    for start in range(0, count or 1, buffer.size or 1):
+        yield start, rng.random(out=buffer[:min(buffer.size, count - start)])
+
+
+def simulate_batch(source_rng, channel_rng, bases, config, p0, buffers=None):
     """One transmission round: sender draws labels, the channel draws
     loss/outcome uniforms, and the Born-rule kernel resolves the
     receiver's outcomes for her submitted basis choices. p0 is the
-    born_outcome0_tables of config.theta."""
+    born_outcome0_tables of config.theta. Drawn and resolved a chunk at a
+    time in float64 buffers (u_label, u_chan) of shapes (c,) and (c, 3)."""
     count = bases.shape[0]
-    u_label = source_rng.random(count)
-    u_chan = channel_rng.random((count, 3))
-    return simulate_transmission(u_label, bases, u_chan, p0, config.loss_rate)
+    u_label, u_chan = buffers or (None, np.empty((min(CHUNK, count), 3)))
+    parts = [simulate_transmission(u, bases[start:start + u.size],
+                                   channel_rng.random(out=u_chan[:u.size]), p0, config.loss_rate)
+             for start, u in _draws(source_rng, count, u_label)]
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
-def draw_bases(measure_rng, count):
-    """Receiver's uniform basis choices: 0 -> computational, 1 -> rotated."""
-    return (measure_rng.random(count) >= 0.5).view(np.uint8)
+def draw_bases(measure_rng, count, uniforms=None):
+    """Receiver's uniform basis choices as uint8: 0 -> computational,
+    1 -> rotated; drawn a chunk at a time, in the float64 buffer uniforms."""
+    bases = np.empty(count, dtype=np.bool_)
+    for start, u in _draws(measure_rng, count, uniforms):
+        np.greater_equal(u, 0.5, out=bases[start:start + u.size])
+    return bases.view(np.uint8)
 
 
 def sift_batch(bases, outcomes, letters):
@@ -378,6 +410,8 @@ class Sender(_Party):
         self._source = stream(config.source_seed, attempt)
         self._channel = stream(config.channel_seed, attempt)
         self._p0 = born_outcome0_tables(config.theta)
+        chunk = min(CHUNK, self.next_round())  # by the first round, the attempt's largest
+        self._buffers = np.empty(chunk), np.empty((chunk, 3))
         # a carrier label holds its coded bit (label >> 1) and letter (label & 1)
         self.truth = Bits(config.raw_length)
         self._letters = Bits(config.raw_length)
@@ -398,7 +432,7 @@ class Sender(_Party):
         """Send one round measured in the receiver's bases; returns the
         loss flags and outcomes she observes."""
         labels, received, outcomes = simulate_batch(
-            self._source, self._channel, bases, self.config, self._p0
+            self._source, self._channel, bases, self.config, self._p0, self._buffers
         )
         start, kept = self._retain(received, labels)
         self.truth.put(start, kept >> 1)
@@ -407,19 +441,17 @@ class Sender(_Party):
 
     def declaration(self):
         """The Bits of the retained carriers' letters; fixes the final
-        key."""
+        key and drops the draw buffers."""
         cfg = self.config
         self.final = _fold(self.truth, cfg.substrings, cfg.n_items)
-        letters, self._letters = self._letters, None
+        letters, self._letters, self._buffers = self._letters, None, None
         return letters
 
     def answer(self, database, shift):
         """Ciphertext Bits for an announced shift s: item m of the database
         Bits is padded with key bit m + s, the final key rotated by s bits."""
-        n, s = self.config.n_items, shift % self.config.n_items
-        ciphertext = Bits(n)
-        ciphertext.put(0, self.final.unpack(s))
-        ciphertext.put(n - s, self.final.unpack(0, s))
+        s = shift % self.config.n_items
+        ciphertext = self.final.rotated(s)
         ciphertext.body ^= database.body
         self.exchange = QueryExchange(
             target_index=-1, known_index=-1, shift=s, ciphertext=ciphertext, retrieved_bit=-1
@@ -445,6 +477,7 @@ class Receiver(_Party):
     def __init__(self, config, attempt=0):
         super().__init__(config, attempt)
         self._measure = stream(config.measure_seed, attempt)
+        self._uniforms = np.empty(min(CHUNK, self.next_round()))  # as the Sender's
         self._bases = self._pending = None
         self._kept_bases = Bits(config.raw_length)
         self._kept_outcomes = Bits(config.raw_length)
@@ -453,7 +486,7 @@ class Receiver(_Party):
 
     def bases(self, count):
         """Basis choices for the next round of count photons."""
-        self._bases = draw_bases(self._measure, count)
+        self._bases = draw_bases(self._measure, count, self._uniforms)
         return self._bases
 
     def absorb(self, received, outcomes):
@@ -467,7 +500,7 @@ class Receiver(_Party):
         count for nothing, and fold; returns the conclusive count."""
         cfg = self.config
         mask, alice_bits = sift_batch(self._kept_bases, self._kept_outcomes, letters)
-        self._bases = self._kept_bases = self._kept_outcomes = None
+        self._bases = self._kept_bases = self._kept_outcomes = self._uniforms = None
         self.raw = Key(None, mask, alice_bits)
         self.final = xor_compress(self.raw, cfg.substrings, cfg.n_items)
         self.conclusive_count = self.raw.known_count
@@ -592,5 +625,9 @@ def load_database(path, n_bits):
 
 
 def random_database(n_bits, seed):
-    """Deterministic throwaway database Bits derived from a seed."""
-    return Bits.of(stream(seed, tag=2).random(n_bits) >= 0.5)
+    """Deterministic throwaway database Bits derived from a seed: bit i is
+    float64 draw i >= 0.5, drawn and packed CHUNK bits at a time."""
+    database = Bits(n_bits)
+    for start, u in _draws(stream(seed, tag=2), n_bits):
+        database.put(start, u >= 0.5)
+    return database

@@ -246,6 +246,9 @@ class FrameStream:
         self._conn = conn
         self._audit = audit
         self._budget = conn.gettimeout()
+        # on TCP a round's two small frames leave at once, not after Nagle's wait
+        if getattr(conn, "family", None) in (socket.AF_INET, socket.AF_INET6):
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._deadline = None if self._budget is None else time.monotonic() + self._budget
 
     def _timed_out(self):
@@ -504,8 +507,6 @@ class WireServer:
                 left = deadline - time.monotonic()
                 if left <= 0:
                     return "timeout"  # spent waiting for a worker
-                # small frames leave at once, not after the peer's delayed ACK
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 conn.settimeout(left)
                 run_bob_endpoint(config, self._database, conn)
                 return "ok"

@@ -480,8 +480,9 @@ def test_query_and_server_sockets_send_without_nagle_delay(tmp_path, monkeypatch
 
     def recording(end, endpoint):
         def run(config, arg, conn):
+            result = endpoint(config, arg, conn)  # each endpoint sets the option itself
             nodelay[end] = conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-            return endpoint(config, arg, conn)
+            return result
 
         return run
 

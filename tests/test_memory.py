@@ -17,16 +17,28 @@ no index array; a round that lost none keeps a view of its arrays.
 The database and the ciphertext are packed too: the query phase leaves
 the N/8-byte ciphertext behind, where a byte per item held 0.95 MiB, and
 the receiver picks her known position without unpacking her N-bit mask.
+The sender rotates the packed final key, where unpacking it traced 1.14
+MiB.
+
+Photon rounds and database draws work in chunks of protocol.CHUNK
+photons, each party drawing into buffers it reuses until it is done. So
+no array a session or a database draw allocates is much larger than one
+chunk, and a process whose allocator was never warmed by a large free
+(a database read from a file) re-maps nothing round after round.
 """
 
+import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qpqsim import planner, protocol, wire
+from qpqsim import cli, planner, protocol, wire
 
 N_ITEMS = 10 ** 6
 LIMIT = 12 << 20
@@ -132,3 +144,104 @@ def test_lossless_round_is_retained_without_an_index_array():
         assert receiver.retained == receiver.sent == protocol.ROUND
         per_photon = peak / protocol.ROUND
         assert per_photon < 4, f"k*N = {config.raw_length}: {per_photon:.2f} bytes per photon"
+
+
+def _t4_config(**seeds):
+    theta = planner.plan_min_k(N_ITEMS, 3.0, 0.2).theta
+    return protocol.SessionConfig(n_items=N_ITEMS, substrings=4, theta=theta, **seeds)
+
+
+def test_largest_t4_session_in_process_peaks_under_4_mib():
+    # round-sized float64 draws and kernel temporaries traced 5.16 MiB
+    config, database = _t4_config(), protocol.random_database(N_ITEMS, 1)
+    retrieved, peak = _traced_peak(lambda: _in_process(config, database, 123457))
+    assert retrieved == database[123457]
+    assert peak <= 4 << 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_random_database_draws_in_chunks_under_1_mib():
+    # one float64 per bit, drawn at once, traced 8.6 MiB at N = 10^6
+    database, peak = _traced_peak(lambda: protocol.random_database(N_ITEMS, 1))
+    assert len(database) == N_ITEMS
+    assert peak <= 1 << 20, f"traced peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_parties_drop_their_draw_buffers_when_done():
+    # at loss 0.9 the first round of this k*N = 4000 asks for 40,001
+    # photons, so the sender draws through 512 KiB of chunk buffers and the
+    # receiver through 128 KiB; the finished parties hold 7 KiB
+    config = protocol.SessionConfig(n_items=2000, substrings=2, theta=0.6, loss_rate=0.9)
+    protocol._single_pass(config, 0)  # the first one imports numpy.random, which loads lazily
+    tracemalloc.start()
+    try:
+        sender, receiver = protocol._single_pass(config, 0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sender.final is not None and receiver.final is not None
+    assert held <= 64 << 10, f"held {held / 1024:.1f} KiB"
+
+
+def test_query_phase_traces_under_half_a_mib_at_the_largest_t4_row():
+    # the sender unpacked her N-bit final key to rotate it: 1.14 MiB
+    config = _t4_config()
+    sender, receiver, _, _ = protocol._distribute(config)
+    database = protocol.random_database(N_ITEMS, 1)
+    retrieved, peak = _traced_peak(
+        lambda: receiver.retrieve(sender.answer(database, receiver.query(123457)))
+    )
+    assert retrieved == database[123457]
+    assert peak < 1 << 19, f"traced peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_run_command_peaks_within_half_a_mib_of_its_session(tmp_path, capsys):
+    # the database draw used to set the peak of run: 8.6 MiB, against 5.2
+    # for the session it ran
+    source, channel, measure = cli.derive_seeds(1)
+    config = _t4_config(source_seed=source, channel_seed=channel, measure_seed=measure)
+    database = protocol.random_database(N_ITEMS, 1)
+    _, session_peak = _traced_peak(lambda: _in_process(config, database, 123457))
+    argv = ["run", "--N", str(N_ITEMS), "--k", "4", "--theta", repr(config.theta),
+            "--seed", "1", "--item", "123457", "--out", str(tmp_path)]
+    code, peak = _traced_peak(lambda: cli.main(argv))
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert doc["database_bit"] == database[123457] == doc["query"]["retrieved_bit"]
+    assert peak <= session_peak + (1 << 19), (
+        f"run {peak / 2 ** 20:.2f} MiB, session {session_peak / 2 ** 20:.2f} MiB"
+    )
+
+
+COLD_SESSIONS = """
+import json, resource, sys
+from qpqsim import planner, protocol
+n_items, path = 10 ** 6, sys.argv[1]
+theta = planner.plan_min_k(n_items, 3.0, 0.2).theta
+database = protocol.load_database(path, n_items)
+faults = []
+for seed in range(3):
+    config = protocol.SessionConfig(n_items=n_items, substrings=4, theta=theta,
+                                    source_seed=seed + 1, channel_seed=seed + 11,
+                                    measure_seed=seed + 21)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    report, _, _ = protocol.run_session(config, database, 123457)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert report.query.retrieved_bit == database[123457]
+print(json.dumps(faults))
+"""
+
+
+def test_cold_process_sessions_fault_under_5000_times_from_the_second(tmp_path):
+    # a process that reads its database from a file frees no large block
+    # before its sessions, so glibc's mmap threshold stays at 128 KiB: with
+    # round-sized draws every round mapped and faulted its arrays again,
+    # about 47,000 minor faults per N = 10^6 session
+    path = tmp_path / "database.hex"
+    path.write_text(protocol.random_database(N_ITEMS, 1).body.tobytes().hex())
+    src = os.path.dirname(os.path.dirname(protocol.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", COLD_SESSIONS, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout)
+    assert all(count < 5000 for count in faults[1:]), f"minor faults per session: {faults}"

@@ -389,6 +389,54 @@ def test_keys_and_report_do_not_depend_on_round_size(monkeypatch):
         assert report.to_dict() == first_report.to_dict()
 
 
+@pytest.mark.parametrize("loss_rate", [0.0, 0.3])
+def test_keys_report_and_database_do_not_depend_on_the_chunk(monkeypatch, loss_rate):
+    # every stream is read in photon order, one chunk after another, so the
+    # chunk size can move no draw; chunks of 1 and 3 photons cross bytes
+    database = random_database(50, 8)
+    runs, databases = [], []
+    for chunk in (1, 3, 64, protocol.CHUNK):
+        monkeypatch.setattr(protocol, "CHUNK", chunk)
+        runs.append(run_session(make_config(loss_rate=loss_rate), database, 17))
+        databases.append(random_database(1001, 5).body.tobytes())
+    first_report, first_raw, first_final = runs[0]
+    assert first_report.success
+    for report, raw, final in runs[1:]:
+        assert np.array_equal(raw.bits, first_raw.bits)
+        assert np.array_equal(raw.alice_mask, first_raw.alice_mask)
+        assert np.array_equal(raw.alice_bits, first_raw.alice_bits)
+        assert np.array_equal(final.bits, first_final.bits)
+        assert report.to_dict() == first_report.to_dict()
+    assert databases == databases[:1] * 4
+
+
+def test_round_longer_than_the_draw_buffers_reads_the_same_draws():
+    # a wire peer may ask for a round longer than the first, which sized the
+    # sender's buffers: it is resolved in more chunks, with the same draws
+    cfg = make_config(n_items=20, loss_rate=0.3)
+    sender = protocol.Sender(cfg)
+    assert sender.next_round() == 58 < 1000
+    bases = protocol.draw_bases(protocol.stream(5), 1000, np.empty(7))
+    assert bases.tolist() == (protocol.stream(5).random(1000) >= 0.5).tolist()
+    received, outcomes = sender.transmit(bases)
+    labels, expected_received, expected_outcomes = protocol.simulate_transmission(
+        protocol.stream(cfg.source_seed).random(1000), bases,
+        protocol.stream(cfg.channel_seed).random((1000, 3)),
+        born_outcome0_tables(cfg.theta), cfg.loss_rate,
+    )
+    assert received.tolist() == expected_received.tolist()
+    assert outcomes.tolist() == expected_outcomes.tolist()
+    kept = labels[expected_received][:cfg.raw_length]
+    assert sender.truth.unpack().tolist() == (kept >> 1).astype(bool).tolist()
+
+
+def test_random_database_reads_one_float_per_bit_in_order():
+    for n_bits in (1, 7, 8, protocol.CHUNK + 1, 65537):
+        drawn = random_database(n_bits, 9)
+        expected = Bits.of(protocol.stream(9, tag=2).random(n_bits) >= 0.5)
+        assert drawn.count == n_bits and drawn.body.tobytes() == expected.body.tobytes()
+
+
 def test_lossless_keys_and_report_do_not_depend_on_round_size(monkeypatch):
     # at loss 0 every round is retained as a view, cut only where the key
     # completes; the keys and the report still ignore the round size
@@ -515,6 +563,19 @@ def test_oblivious_query_hand_example(monkeypatch):
     assert receiver.exchange.known_index == 4
     assert shift == receiver.exchange.shift == sender.exchange.shift == 2
     assert ciphertext.unpack().tolist() == [1, 0, 0, 0, 0]
+
+
+def test_rotated_matches_the_unpacked_rotation():
+    # the sender pads item m with final-key bit m + s: the key rotated by s
+    rng = np.random.default_rng(5)
+    for count in (*range(1, 42), 64, 65, 1000, 1003):
+        bits = Bits.of(rng.random(count) >= 0.5)
+        shifts = range(count) if count <= 65 else (0, 1, 7, 8, 9, count // 2, count - 1)
+        for shift in shifts:
+            rotated = bits.rotated(shift)
+            expected = Bits.of(np.roll(bits.unpack(), -shift))
+            assert rotated.count == count
+            assert rotated.body.tobytes() == expected.body.tobytes(), (count, shift)
 
 
 def test_oblivious_query_zero_shift(monkeypatch):

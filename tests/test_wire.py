@@ -441,9 +441,9 @@ def test_lossless_session_simulates_exactly_kn_photons(monkeypatch):
     simulated = []
     simulate_batch = protocol.simulate_batch
 
-    def counting(source_rng, channel_rng, bases, config, p0):
+    def counting(source_rng, channel_rng, bases, *args):
         simulated.append(bases.shape[0])
-        return simulate_batch(source_rng, channel_rng, bases, config, p0)
+        return simulate_batch(source_rng, channel_rng, bases, *args)
 
     monkeypatch.setattr(protocol, "simulate_batch", counting)
     cfg = make_config(n_items=1000, substrings=2, theta=0.6)
@@ -914,11 +914,29 @@ def test_session_budget_grows_with_the_photons_it_sends():
     assert wire.session_budget(beyond_cap) == pytest.approx(budget)
 
 
+def test_frame_stream_turns_nagle_off_on_tcp_only():
+    # a round sends two small frames before it reads; an API caller's TCP
+    # socket held the second for the peer's delayed ACK, about 44 ms a round
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with socket.create_connection(listener.getsockname()) as conn:
+            accepted, _ = listener.accept()
+            with accepted:
+                assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 0
+                wire.FrameStream(conn)
+                assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+    left, right = socket.socketpair()  # AF_UNIX: no such option, and no error
+    with left, right:
+        wire.FrameStream(left).send(Shift(shift=1))
+        assert wire.FrameStream(right).recv() == Shift(shift=1)
+
+
 def test_session_longer_than_socket_timeout_completes_within_its_budget(monkeypatch):
-    # 400,000 photons in 7 rounds take longer than 0.1 s, which used to be
-    # the whole budget of any session; the photons now add to it
-    monkeypatch.setattr(wire, "SOCKET_TIMEOUT", 0.1)
-    cfg = make_config(n_items=5000, substrings=4, loss_rate=0.95)
+    # 3,193,564 photons in 49 rounds take about 4x longer than 0.02 s, which
+    # stands in for the whole budget any session used to have; the photons
+    # now add to it. Both ends send without Nagle's delay, so the photons,
+    # not delayed ACKs, make the session outlast it
+    monkeypatch.setattr(wire, "SOCKET_TIMEOUT", 0.02)
+    cfg = make_config(n_items=40000, substrings=4, loss_rate=0.95)
     database = random_database(cfg.n_items, 9)
     server = wire.WireServer("127.0.0.1", 0, cfg, database, sessions=1)
     thread, handled = serve_in_thread(server)
